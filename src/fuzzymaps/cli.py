@@ -295,10 +295,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_attractors(args) -> int:
     spec = _load_spec(args)
     side = _side_arg(spec, args)
+    overrides = _build_overrides(args)
+    policy = overrides.merge(spec.policy) if overrides else spec.policy
     census = enumerate_attractors(
         spec.matrix,
         side,
-        spec.policy,
+        policy,
         state_limit=args.max_states,
         one_sided=spec.one_sided,
     )
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("attractors", help="enumerate every seed exhaustively")
-    add_common(p, side=True)
+    add_common(p, side=True, policy=True)
     p.add_argument("--max-states", type=int, default=1 << 20)
     p.set_defaults(func=_cmd_attractors)
 

@@ -553,11 +553,40 @@ class AttractorCensus:
         return tuple(a.basin_size for a in self.attractors)
 
 
-def canonical_cycle(states: Sequence[int]) -> tuple[int, ...]:
-    """Rotate a cycle so its smallest state comes first."""
-    states = list(states)
-    pivot = states.index(min(states))
-    return tuple(states[pivot:] + states[:pivot])
+def _brent(
+    table: np.ndarray, start: np.ndarray, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brent's cycle detection on ``s -> table[s] | seed`` for every seed.
+
+    Every seed advances in lockstep, so the power-of-two schedule is shared
+    and a seed's period is the step count at which its hare meets its
+    tortoise.  Resolved seeds are dropped as they finish, so the work is
+    proportional to the seeds' own path lengths.  Returns each seed's period
+    and a state on its cycle.
+    """
+    period = np.empty_like(seeds)
+    meet = np.empty_like(seeds)
+    live = seeds
+    tortoise = start
+    hare = np.take(table, start, mode="clip")
+    hare |= live
+    power = lam = 1
+    while live.shape[0]:
+        done = tortoise == hare
+        if done.any():
+            finished = live[done]
+            period[finished] = lam
+            meet[finished] = hare[done]
+            keep = ~done
+            live, tortoise, hare = live[keep], tortoise[keep], hare[keep]
+        if power == lam:
+            tortoise = hare.copy()
+            power *= 2
+            lam = 0
+        np.take(table, hare, out=hare, mode="clip")
+        hare |= live
+        lam += 1
+    return period, meet
 
 
 def _bits_of_masks(masks: np.ndarray, n: int) -> np.ndarray:
@@ -615,6 +644,16 @@ def enumerate_attractors(
 ) -> AttractorCensus:
     """Run every possible seed on ``side`` and group outcomes by attractor.
 
+    One round of the map is tabulated for every seed-side bitmask; a seed
+    then moves ``s -> table[s] | seed``.  All ``2 ** n`` seeds walk at once:
+    Brent's method finds each seed's period and a state on its cycle, one
+    more walk of that period lists the cycle, and seeds are grouped by the
+    full cycle rotated to its minimum state (two cycles may share a
+    minimum).  Attractors are numbered in the order of their smallest seed.
+    The walk holds a few ``2 ** n`` integer arrays (32-bit below 31 nodes)
+    and builds no per-seed Python objects; only the returned
+    :class:`Attractor` tuple has one object per attractor.
+
     Trajectories agree bit for bit with :func:`run_hidden_pattern`; the two
     paths are implemented independently (vector arithmetic there, tabulated
     bitmask transitions here) so each checks the other.  Basin sizes sum to
@@ -653,45 +692,68 @@ def enumerate_attractors(
         for i, mask in enumerate(_masks_of_bits(nxt)):
             unit_first[1 << i] = int(mask)
 
-    attractor_ids: dict[tuple[int, ...], int] = {}
-    attractors: list[dict] = []
-    assignment = np.empty(1 << n, dtype=np.int64)
-    int_table = table.tolist()
-    for seed_mask in range(1 << n):
-        if first_table is not None:
-            s = int(first_table[seed_mask]) | seed_mask
-        elif seed_mask in unit_first:
-            s = unit_first[seed_mask] | seed_mask
-        else:
-            s = int_table[seed_mask] | seed_mask
-        visited: dict[int, int] = {}
-        order: list[int] = []
-        while s not in visited:
-            visited[s] = len(order)
-            order.append(s)
-            s = int_table[s] | seed_mask
-        j = visited[s]
-        cycle = canonical_cycle(order[j:])
-        idx = attractor_ids.get(cycle)
-        if idx is None:
-            idx = len(attractors)
-            attractor_ids[cycle] = idx
-            attractors.append({"states": cycle, "basin": 0})
-        attractors[idx]["basin"] += 1
-        assignment[seed_mask] = idx
+    # each 2^n array is dropped once used, so none outlives the walk into
+    # the construction of the Attractor objects, where memory peaks
+    dtype = np.int32 if n < 31 else np.int64
+    seeds = np.arange(1 << n, dtype=dtype)
+    start = (table if first_table is None else first_table).astype(dtype)
+    start |= seeds
+    for unit, mask in unit_first.items():
+        start[unit] = mask | unit
+    del first_table
+    table = table.astype(dtype)
+    period, meet = _brent(table, start, seeds)
+    del start, seeds
 
+    # group seeds of one period by their cycle, rotated to its minimum state
+    groups = []
+    for p in np.unique(period).tolist():
+        members = np.flatnonzero(period == p).astype(dtype)
+        cycle = np.empty((p, members.shape[0]), dtype=dtype)
+        cycle[0] = meet[members]
+        for t in range(1, p):
+            np.take(table, cycle[t - 1], out=cycle[t], mode="clip")
+            cycle[t] |= members
+        if p == 1:
+            # a 1-D unique is several times faster than one over rows
+            cycles, first, inverse = np.unique(
+                cycle[0], return_index=True, return_inverse=True
+            )
+            cycles = cycles[:, None]
+        else:
+            shift = cycle.argmin(axis=0) + np.arange(p)[:, None]
+            rows = np.take_along_axis(cycle, shift % p, axis=0).T
+            cycles, first, inverse = np.unique(
+                rows, axis=0, return_index=True, return_inverse=True
+            )
+        groups.append((cycles, members[first], members, inverse.reshape(-1)))
+    del table, period, meet
+
+    # number attractors in the order of their smallest seed
+    order = np.argsort(np.concatenate([g[1] for g in groups]))
+    number = np.empty_like(order)
+    number[order] = np.arange(order.shape[0])
+    assignment = np.empty(1 << n, dtype=np.int64)
+    states: list[tuple[int, ...]] = []
+    offset = 0
+    for cycles, _, members, inverse in groups:
+        k = cycles.shape[0]
+        assignment[members] = number[offset : offset + k][inverse]
+        offset += k
+        states.extend(zip(*cycles.T.tolist()))  # one tuple per row
+    states = [states[i] for i in order.tolist()]
+    periods = [len(c) for c in states]
     built = tuple(
-        Attractor(
-            kind=(
-                PatternKind.FIXED_POINT
-                if len(a["states"]) == 1
-                else PatternKind.LIMIT_CYCLE
-            ),
-            period=len(a["states"]),
-            states=a["states"],
-            basin_size=a["basin"],
+        map(
+            Attractor,
+            [
+                PatternKind.FIXED_POINT if p == 1 else PatternKind.LIMIT_CYCLE
+                for p in periods
+            ],
+            periods,
+            states,
+            np.bincount(assignment, minlength=len(states)).tolist(),
         )
-        for a in attractors
     )
     return AttractorCensus(
         side=side, partition=part, attractors=built, assignment=assignment

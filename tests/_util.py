@@ -20,3 +20,9 @@ def pattern_cycle_masks(pattern, side: Side) -> tuple[int, ...]:
         state = d if side is Side.DOMAIN else r
         masks.append(state.bitmask)
     return tuple(masks)
+
+
+def canonical(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate a cycle of bitmasks so its smallest state comes first."""
+    lo = masks.index(min(masks))
+    return masks[lo:] + masks[:lo]

@@ -37,7 +37,7 @@ from fuzzymaps import (
 )
 from fuzzymaps.cli import main as cli_main
 
-from _util import bits, pattern_cycle_masks, seed_state
+from _util import bits, canonical, pattern_cycle_masks, seed_state
 from test_dynamics import PROD_12X5
 
 GT0 = ThresholdRule(Comparator.GT, 0)
@@ -51,11 +51,6 @@ def best_of(n, fn):
         out = fn()
         elapsed = min(elapsed, time.perf_counter() - t0)
     return out, elapsed
-
-
-def canonical(masks):
-    lo = masks.index(min(masks))
-    return masks[lo:] + masks[:lo]
 
 
 # --- criterion 1: row-blocked demonstration model ----------------------------

@@ -1,6 +1,14 @@
 import json
 
-from fuzzymaps import fixture_text
+from fuzzymaps import (
+    Comparator,
+    PolicyOverrides,
+    Side,
+    ThresholdRule,
+    enumerate_attractors,
+    fixture_text,
+    load_fixture,
+)
 from fuzzymaps.cli import main
 
 
@@ -200,6 +208,33 @@ class TestAttractors:
         )
         assert code == 0
         assert "64 seeds" in out
+
+    def test_policy_flags(self, capsys):
+        def attractors(*flags):
+            code, out, err = run_cli(
+                capsys, "attractors", "--fixture", "sec_2_2", "--side", "range",
+                "--json", *flags,
+            )
+            assert code == 0, err
+            return sorted(
+                (a["kind"], a["period"], a["basin_size"],
+                 tuple(sum(b << i for i, b in enumerate(s)) for s in a["states"]))
+                for a in json.loads(out)["attractors"]
+            )
+
+        spec = load_fixture("sec_2_2")
+        policy = PolicyOverrides(
+            domain_rule=ThresholdRule(Comparator.GT, 0),
+            range_rule=ThresholdRule(Comparator.GT, 9),
+        ).merge(spec.policy)
+        census = enumerate_attractors(spec.matrix, Side.RANGE, policy)
+        expected = sorted(
+            (a.kind.value, a.period, a.basin_size, a.states)
+            for a in census.attractors
+        )
+        got = attractors("--threshold-domain", "gt:0", "--threshold-range", "gt:9")
+        assert got == expected
+        assert got != attractors()
 
 
 class TestDot:

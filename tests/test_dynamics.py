@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fuzzymaps import (
     Comparator,
     Direction,
+    FirstStepMode,
     Partition,
     PatternKind,
     Side,
@@ -28,7 +29,7 @@ from fuzzymaps.errors import (
     StepLimitExceeded,
 )
 
-from _util import bits, pattern_cycle_masks, seed_state
+from _util import bits, canonical, pattern_cycle_masks, seed_state
 
 GT0 = ThresholdRule(Comparator.GT, 0)
 GE2 = ThresholdRule(Comparator.GE, 2)
@@ -258,10 +259,8 @@ class TestHiddenPattern:
         for mask in range(4):
             seed = seed_state(mask, Side.DOMAIN, m.row_partition)
             hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
-            expected = census.attractor_of(mask)
-            got = pattern_cycle_masks(hp, Side.DOMAIN)
-            lo = got.index(min(got))
-            assert got[lo:] + got[:lo] == expected.states
+            got = canonical(pattern_cycle_masks(hp, Side.DOMAIN))
+            assert got == census.attractor_of(mask).states
 
 
 class TestSweep:
@@ -305,9 +304,68 @@ class TestEnumeration:
         for mask in range(32):
             seed = seed_state(mask, Side.DOMAIN, GROUPS_5X12.row_partition)
             hp = run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY)
-            got = pattern_cycle_masks(hp, Side.DOMAIN)
-            lo = got.index(min(got))
-            assert got[lo:] + got[:lo] == census.attractor_of(mask).states
+            got = canonical(pattern_cycle_masks(hp, Side.DOMAIN))
+            assert got == census.attractor_of(mask).states
+
+    def test_cycles_sharing_a_minimum_stay_apart(self):
+        # two period-2 cycles pass through state 11; grouping seeds by the
+        # cycle minimum alone would merge them into one attractor
+        m = SuperMatrix.simple(
+            [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
+        )
+        census = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        cycles = [a.states for a in census.attractors if a.period == 2]
+        assert (11, 13) in cycles and (11, 15) in cycles
+        for mask in range(16):
+            seed = seed_state(mask, Side.DOMAIN, m.row_partition)
+            hp = run_hidden_pattern(
+                m, seed, GT0_POLICY, one_sided=True, record_trace=False
+            )
+            got = canonical(pattern_cycle_masks(hp, Side.DOMAIN))
+            assert got == census.attractor_of(mask).states, f"seed {mask}"
+
+    @pytest.mark.parametrize("mode", list(FirstStepMode))
+    def test_agrees_with_engine_in_every_first_step_mode(self, mode):
+        rng = np.random.default_rng(20260)
+
+        def rule():
+            cmp = Comparator(str(rng.choice(["ge", "gt"])))
+            return ThresholdRule(cmp, int(rng.integers(0, 3)))
+
+        for trial in range(16):
+            one_sided = trial % 2 == 0
+            rows = int(rng.integers(2, 7))
+            cols = rows if one_sided else int(rng.integers(2, 7))
+            m = SuperMatrix.simple(
+                rng.integers(-1, 2, size=(rows, cols)).astype(float)
+            )
+            policy = ThresholdPolicy(rule(), rule(), rule(), mode)
+            sides = [Side.DOMAIN] if one_sided else [Side.DOMAIN, Side.RANGE]
+            for side in sides:
+                census = enumerate_attractors(
+                    m, side, policy, one_sided=one_sided
+                )
+                part = m.row_partition if side is Side.DOMAIN else m.col_partition
+                total = 1 << part.total
+                counts = np.bincount(census.assignment)
+                assert census.basin_sizes() == tuple(counts.tolist())
+                assert sum(census.basin_sizes()) == total
+                # attractor k is first reached by a smaller seed than k + 1
+                _, first = np.unique(census.assignment, return_index=True)
+                assert len(first) == len(census.attractors)
+                assert (np.diff(first) > 0).all()
+                for mask in range(total):
+                    hp = run_hidden_pattern(
+                        m,
+                        seed_state(mask, side, part),
+                        policy,
+                        one_sided=one_sided,
+                        record_trace=False,
+                    )
+                    got = canonical(pattern_cycle_masks(hp, side))
+                    assert got == census.attractor_of(mask).states, (
+                        f"trial {trial}, {side.value} seed {mask}"
+                    )
 
     def test_state_space_guard(self):
         census_limit = 1 << 3
