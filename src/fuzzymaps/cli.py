@@ -11,9 +11,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .dynamics import (
     Comparator,
     FirstStepMode,
+    PatternKind,
     Side,
     StateVector,
     ThresholdRule,
@@ -304,17 +307,17 @@ def _cmd_attractors(args) -> int:
         state_limit=args.max_states,
         one_sided=spec.one_sided,
     )
-    part = spec.side_partition(side)
-    n = part.total
-
-    def state_bits(mask: int) -> list[int]:
-        return [(mask >> i) & 1 for i in range(n)]
-
-    order = sorted(
-        range(len(census.attractors)),
-        key=lambda k: (-census.attractors[k].basin_size, census.attractors[k].states),
-    )
+    n = census.partition.total
+    basins = census.basins.tolist()
+    bounds = census.offsets.tolist()
+    flat = census.states.tolist()
+    cycles = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+    order = sorted(range(len(cycles)), key=lambda k: (-basins[k], cycles[k]))
+    periods = census.periods.tolist()
     if args.json:
+        # bit i of each state mask, one list per state
+        as_bytes = census.states.astype("<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little").tolist()
         payload = {
             "model": spec.name,
             "side": side.value,
@@ -322,12 +325,10 @@ def _cmd_attractors(args) -> int:
             "total_seeds": census.n_seeds,
             "attractors": [
                 {
-                    "kind": census.attractors[k].kind.value,
-                    "period": census.attractors[k].period,
-                    "basin_size": census.attractors[k].basin_size,
-                    "states": [
-                        state_bits(m) for m in census.attractors[k].states
-                    ],
+                    "kind": PatternKind.of_period(periods[k]).value,
+                    "period": periods[k],
+                    "basin_size": basins[k],
+                    "states": bits[bounds[k] : bounds[k + 1]],
                 }
                 for k in order
             ],
@@ -336,15 +337,13 @@ def _cmd_attractors(args) -> int:
         return EXIT_OK
     lines = [
         f"{spec.name}: {census.n_seeds} seeds on the {side.value} side, "
-        f"{len(census.attractors)} attractors"
+        f"{len(cycles)} attractors"
     ]
     for k in order:
-        a = census.attractors[k]
-        states = " -> ".join(
-            "".join(str(b) for b in state_bits(m)) for m in a.states
-        )
-        shape = "fixed point" if a.period == 1 else f"cycle p={a.period}"
-        lines.append(f"  basin {a.basin_size:>7}  {shape:<12} {states}")
+        # bit i of a mask is the i-th printed digit
+        states = " -> ".join(format(m, f"0{n}b")[::-1] for m in cycles[k])
+        shape = "fixed point" if periods[k] == 1 else f"cycle p={periods[k]}"
+        lines.append(f"  basin {basins[k]:>7}  {shape:<12} {states}")
     _emit("\n".join(lines) + "\n", args)
     return EXIT_OK
 

@@ -13,9 +13,10 @@ the same state repeatedly against a square matrix.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +41,7 @@ __all__ = [
     "HiddenPattern",
     "Attractor",
     "AttractorCensus",
+    "Attractors",
     "special_product",
     "apply_threshold",
     "apply_update",
@@ -228,6 +230,10 @@ class StepRecord:
 class PatternKind(str, Enum):
     FIXED_POINT = "fixed_point"
     LIMIT_CYCLE = "limit_cycle"
+
+    @classmethod
+    def of_period(cls, period: int) -> "PatternKind":
+        return cls.FIXED_POINT if period == 1 else cls.LIMIT_CYCLE
 
 
 @dataclass(frozen=True)
@@ -420,11 +426,8 @@ def run_hidden_pattern(
                 rounds, (v, opp_bits), j, period, seed.side,
                 seed_part, opp_part, one_sided,
             )
-            kind = (
-                PatternKind.FIXED_POINT if period == 1 else PatternKind.LIMIT_CYCLE
-            )
             return HiddenPattern(
-                kind=kind,
+                kind=PatternKind.of_period(period),
                 period=period,
                 pair_sequence=pairs,
                 steps_to_enter=j - 1,
@@ -519,7 +522,7 @@ def sweep_unit_seeds(
 
 # --- exhaustive enumeration ------------------------------------------------
 
-_CHUNK = 1 << 16
+_LOW_BITS = 16  # seed bits tabulated per block; 2**16 masks per table chunk
 
 
 @dataclass(frozen=True)
@@ -534,23 +537,110 @@ class Attractor:
 
 @dataclass(frozen=True)
 class AttractorCensus:
-    """Every seed's outcome, grouped by attractor."""
+    """Every seed's outcome, grouped by attractor, stored as columns.
+
+    Attractor ``k`` has period ``periods[k]`` and basin size ``basins[k]``;
+    its cycle is ``states[offsets[k] : offsets[k + 1]]`` in cycle order,
+    minimum state first.  Attractors are numbered in the order of their
+    smallest seed, and ``assignment`` maps every seed bitmask to its
+    attractor's number.  All five columns are read-only int64 arrays;
+    :attr:`attractors` builds :class:`Attractor` objects only on access.
+    """
 
     side: Side
     partition: Partition
-    attractors: tuple[Attractor, ...]
-    assignment: np.ndarray  # seed bitmask -> attractor index
+    periods: np.ndarray
+    basins: np.ndarray
+    states: np.ndarray
+    offsets: np.ndarray
+    assignment: np.ndarray
 
     @property
     def n_seeds(self) -> int:
         return int(self.assignment.shape[0])
 
+    @property
+    def attractors(self) -> "Attractors":
+        return Attractors(self)
+
     def attractor_of(self, seed: "StateVector | int") -> Attractor:
-        mask = seed.bitmask if isinstance(seed, StateVector) else int(seed)
+        if isinstance(seed, StateVector):
+            if seed.side is not self.side or seed.partition != self.partition:
+                raise DimensionMismatch(
+                    f"seed on the {seed.side.value} side with {len(seed)} nodes; "
+                    f"the census covers the {self.side.value} side with "
+                    f"{self.partition.total}"
+                )
+            mask = seed.bitmask
+        else:
+            mask = int(seed)
+            if not 0 <= mask < self.n_seeds:
+                raise IndexOutOfRange(
+                    f"seed mask {mask} out of range for {self.n_seeds} seeds"
+                )
         return self.attractors[int(self.assignment[mask])]
 
     def basin_sizes(self) -> tuple[int, ...]:
-        return tuple(a.basin_size for a in self.attractors)
+        return tuple(self.basins.tolist())
+
+
+class Attractors(Sequence):
+    """Immutable sequence view of a census's attractors.
+
+    Reading an index or iterating builds :class:`Attractor` objects from the
+    census columns; the length, equality and hash read the columns alone.
+    """
+
+    __slots__ = ("_census",)
+
+    def __init__(self, census: AttractorCensus):
+        self._census = census
+
+    def __len__(self) -> int:
+        return int(self._census.periods.shape[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        c = self._census
+        k = range(len(self))[k]  # negative indices, IndexError past the end
+        lo, hi = c.offsets[k : k + 2].tolist()
+        period = int(c.periods[k])
+        return Attractor(
+            PatternKind.of_period(period),
+            period,
+            tuple(c.states[lo:hi].tolist()),
+            int(c.basins[k]),
+        )
+
+    def __iter__(self):
+        c = self._census
+        states = c.states.tolist()
+        bounds = c.offsets.tolist()
+        for k, (period, basin) in enumerate(
+            zip(c.periods.tolist(), c.basins.tolist())
+        ):
+            yield Attractor(
+                PatternKind.of_period(period),
+                period,
+                tuple(states[bounds[k] : bounds[k + 1]]),
+                basin,
+            )
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        c = self._census
+        return c.periods, c.basins, c.states
+
+    def __eq__(self, other):
+        if not isinstance(other, Attractors):
+            return NotImplemented
+        return all(map(np.array_equal, self._columns(), other._columns()))
+
+    def __hash__(self) -> int:
+        return hash(tuple(col.tobytes() for col in self._columns()))
+
+    def __repr__(self) -> str:
+        return f"Attractors(<{len(self)} attractors>)"
 
 
 def _brent(
@@ -589,50 +679,78 @@ def _brent(
     return period, meet
 
 
-def _bits_of_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    return ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-
-
-def _masks_of_bits(bits: np.ndarray) -> np.ndarray:
-    n = bits.shape[1]
-    weights = (1 << np.arange(n, dtype=np.int64))
-    return bits.astype(np.int64) @ weights
-
-
-def _round_table(
-    matrix: SuperMatrix,
-    side: Side,
-    policy: ThresholdPolicy,
-    one_sided: bool,
-    first_rule: Optional[ThresholdRule],
-) -> np.ndarray:
-    """Unforced one-round transition for every seed-side bitmask.
-
-    ``first_rule`` replaces the rule of the round's first product when
-    given (used to tabulate first rounds under ``always`` mode).
-    """
-    n = matrix.n_rows if side is Side.DOMAIN else matrix.n_cols
-    total = 1 << n
-    out = np.empty(total, dtype=np.int64)
-    grid = matrix.entries
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = _bits_of_masks(masks, n)
-        if one_sided:
-            rule = first_rule or policy.rule_for(side)
-            nxt = rule.apply(bits @ grid)
-        else:
-            if side is Side.DOMAIN:
-                rule1 = first_rule or policy.range_rule
-                inter = rule1.apply(bits @ grid).astype(float)
-                nxt = policy.domain_rule.apply(inter @ grid.T)
-            else:
-                rule1 = first_rule or policy.domain_rule
-                inter = rule1.apply(bits @ grid.T).astype(float)
-                nxt = policy.range_rule.apply(inter @ grid)
-        out[start:stop] = _masks_of_bits(nxt)
+def _subset_sums(rows: np.ndarray) -> np.ndarray:
+    """Row ``s`` of the result sums ``rows[i]`` over the set bits ``i`` of ``s``."""
+    out = np.zeros((1 << rows.shape[0], rows.shape[1]))
+    for i, row in enumerate(rows):
+        np.add(out[: 1 << i], row, out=out[1 << i : 2 << i])
     return out
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """The bitmask of each 0/1 row: column ``i`` becomes bit ``i``."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+    words[:, : packed.shape[1]] = packed
+    return words.view("<i8")[:, 0]
+
+
+class _RoundMap:
+    """One unforced round of the map, tabulated over seed-side bitmasks.
+
+    A round's first product is linear in the seed bits, so its raw sums for
+    mask ``s`` are ``low[s & (2**k - 1)] + high[s >> k]``: the sums over the
+    low ``k`` bits and over the rest, each tabulated once.  A chunk of
+    ``2 ** k`` consecutive masks then costs one add, one threshold and a
+    bit pack; a two-sided round adds the product back to the seed side.
+    Sums of integer entries are exact in any order.
+    """
+
+    def __init__(
+        self,
+        matrix: SuperMatrix,
+        side: Side,
+        policy: ThresholdPolicy,
+        one_sided: bool,
+    ):
+        # one-sided runs multiply forward whichever side the seed is on
+        grid = (
+            matrix.entries
+            if one_sided or side is Side.DOMAIN
+            else matrix.entries.T
+        )
+        self.n = grid.shape[0]
+        self.k = min(self.n, _LOW_BITS)
+        self.low = _subset_sums(grid[: self.k])
+        self.high = _subset_sums(grid[self.k :])
+        if one_sided:
+            self.rule, self.back = policy.rule_for(side), None
+        else:
+            self.rule = policy.rule_for(side.opposite)
+            self.back = (grid.T, policy.rule_for(side))
+
+    def _next(self, raw: np.ndarray, first_rule: Optional[ThresholdRule]):
+        bits = (first_rule or self.rule).apply(raw)
+        if self.back is not None:
+            grid_t, rule = self.back
+            bits = rule.apply(bits @ grid_t)
+        return _pack(bits)
+
+    def table(self, first_rule: Optional[ThresholdRule], dtype) -> np.ndarray:
+        """Next state of every mask; ``first_rule`` replaces the round's
+        first threshold when given."""
+        out = np.empty(1 << self.n, dtype=dtype)
+        size = 1 << self.k
+        for h, high in enumerate(self.high):
+            out[h * size : (h + 1) * size] = self._next(self.low + high, first_rule)
+        return out
+
+    def of(
+        self, masks: np.ndarray, first_rule: Optional[ThresholdRule]
+    ) -> np.ndarray:
+        """Next state of each mask in ``masks``, as :meth:`table`."""
+        raw = self.low[masks & ((1 << self.k) - 1)] + self.high[masks >> self.k]
+        return self._next(raw, first_rule)
 
 
 def enumerate_attractors(
@@ -650,9 +768,9 @@ def enumerate_attractors(
     more walk of that period lists the cycle, and seeds are grouped by the
     full cycle rotated to its minimum state (two cycles may share a
     minimum).  Attractors are numbered in the order of their smallest seed.
-    The walk holds a few ``2 ** n`` integer arrays (32-bit below 31 nodes)
-    and builds no per-seed Python objects; only the returned
-    :class:`Attractor` tuple has one object per attractor.
+    The walk holds a few ``2 ** n`` integer arrays (32-bit below 31 nodes),
+    and the census it returns is columnar: no Python object is built per
+    seed or per attractor until :attr:`AttractorCensus.attractors` is read.
 
     Trajectories agree bit for bit with :func:`run_hidden_pattern`; the two
     paths are implemented independently (vector arithmetic there, tabulated
@@ -668,40 +786,20 @@ def enumerate_attractors(
         raise StateSpaceTooLarge(
             f"2^{n} = {1 << n} seeds exceed the limit of {state_limit}"
         )
-    table = _round_table(matrix, side, policy, one_sided, None)
-    mode = policy.first_step_mode
-    first_table: Optional[np.ndarray] = None
-    if mode is FirstStepMode.ALWAYS:
-        first_table = _round_table(
-            matrix, side, policy, one_sided, policy.first_step_rule
-        )
-    unit_first: dict[int, int] = {}
-    if mode is FirstStepMode.AUTO:
-        unit_rows = _bits_of_masks(
-            np.array([1 << i for i in range(n)], dtype=np.int64), n
-        )
-        grid = matrix.entries
-        if one_sided:
-            nxt = policy.first_step_rule.apply(unit_rows @ grid)
-        elif side is Side.DOMAIN:
-            inter = policy.first_step_rule.apply(unit_rows @ grid).astype(float)
-            nxt = policy.domain_rule.apply(inter @ grid.T)
-        else:
-            inter = policy.first_step_rule.apply(unit_rows @ grid.T).astype(float)
-            nxt = policy.range_rule.apply(inter @ grid)
-        for i, mask in enumerate(_masks_of_bits(nxt)):
-            unit_first[1 << i] = int(mask)
-
-    # each 2^n array is dropped once used, so none outlives the walk into
-    # the construction of the Attractor objects, where memory peaks
     dtype = np.int32 if n < 31 else np.int64
+    rounds = _RoundMap(matrix, side, policy, one_sided)
+    table = rounds.table(None, dtype)
+    mode = policy.first_step_mode
+    if mode is FirstStepMode.ALWAYS:
+        start = rounds.table(policy.first_step_rule, dtype)
+    else:
+        start = table.copy()
     seeds = np.arange(1 << n, dtype=dtype)
-    start = (table if first_table is None else first_table).astype(dtype)
     start |= seeds
-    for unit, mask in unit_first.items():
-        start[unit] = mask | unit
-    del first_table
-    table = table.astype(dtype)
+    if mode is FirstStepMode.AUTO:
+        units = np.left_shift(1, np.arange(n, dtype=dtype))
+        start[units] = rounds.of(units, policy.first_step_rule) | units
+    del rounds
     period, meet = _brent(table, start, seeds)
     del start, seeds
 
@@ -734,27 +832,31 @@ def enumerate_attractors(
     number = np.empty_like(order)
     number[order] = np.arange(order.shape[0])
     assignment = np.empty(1 << n, dtype=np.int64)
-    states: list[tuple[int, ...]] = []
     offset = 0
     for cycles, _, members, inverse in groups:
         k = cycles.shape[0]
         assignment[members] = number[offset : offset + k][inverse]
         offset += k
-        states.extend(zip(*cycles.T.tolist()))  # one tuple per row
-    states = [states[i] for i in order.tolist()]
-    periods = [len(c) for c in states]
-    built = tuple(
-        map(
-            Attractor,
-            [
-                PatternKind.FIXED_POINT if p == 1 else PatternKind.LIMIT_CYCLE
-                for p in periods
-            ],
-            periods,
-            states,
-            np.bincount(assignment, minlength=len(states)).tolist(),
-        )
+
+    # lay the cycles out flat in attractor order
+    unordered = np.concatenate(
+        [np.full(c.shape[0], c.shape[1], dtype=np.int64) for c, *_ in groups]
     )
+    periods = unordered[order]
+    offsets = np.zeros(order.shape[0] + 1, dtype=np.int64)
+    np.cumsum(periods, out=offsets[1:])
+    starts = (np.cumsum(unordered) - unordered)[order]
+    flat = np.concatenate([c.ravel() for c, *_ in groups]).astype(np.int64)
+    states = flat[np.repeat(starts - offsets[:-1], periods) + np.arange(offsets[-1])]
+    basins = np.bincount(assignment, minlength=order.shape[0])
+    for column in (periods, basins, states, offsets, assignment):
+        column.flags.writeable = False
     return AttractorCensus(
-        side=side, partition=part, attractors=built, assignment=assignment
+        side=side,
+        partition=part,
+        periods=periods,
+        basins=basins,
+        states=states,
+        offsets=offsets,
+        assignment=assignment,
     )

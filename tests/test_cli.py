@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from fuzzymaps import (
     Comparator,
@@ -236,6 +239,30 @@ class TestAttractors:
         assert got == expected
         assert got != attractors()
 
+
+    @pytest.mark.parametrize(
+        "fixture, side, fmt, digest",
+        [
+            ("sec_2_4", "domain", "--json",
+             "42ce66a32ff885e24a54e80db8c7e1936e014719fa1e4270c67e7222f21afb92"),
+            ("sec_2_4", "domain", "text",
+             "d091a0814c93d397eabc23e5deeda828d82b34121fe3882c172440777a507b63"),
+            ("ex_1_2_3_structure", "range", "--json",
+             "406d2c8badc546d7e5644097744bf707e3c54a4aeea6e229e6f25b2692f3054c"),
+            ("ex_1_2_3_structure", "range", "text",
+             "80f85f2a00827eea6160aa7623152c945fcb27b48a8706d8eb090c78e64f278b"),
+        ],
+        ids=["sec_2_4-json", "sec_2_4-text", "ex_1_2_3-json", "ex_1_2_3-text"],
+    )
+    def test_output_bytes_pinned(self, capsys, fixture, side, fmt, digest):
+        # sha256 of the output as recorded before the census became columnar:
+        # the (-basin, states) order and every byte of both formats
+        flags = [fmt] if fmt == "--json" else []
+        code, out, err = run_cli(
+            capsys, "attractors", "--fixture", fixture, "--side", side, *flags
+        )
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 class TestDot:
     def test_bipartite_clusters(self, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzymaps import (
+    Attractor,
     Comparator,
     Direction,
     FirstStepMode,
@@ -22,6 +23,7 @@ from fuzzymaps import (
     step,
     sweep_unit_seeds,
 )
+from fuzzymaps import dynamics
 from fuzzymaps.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -283,6 +285,40 @@ class TestSweep:
         assert r.bits == (0,)  # nothing propagates
 
 
+def _random_rule(rng) -> ThresholdRule:
+    cmp = Comparator(str(rng.choice(["ge", "gt"])))
+    return ThresholdRule(cmp, int(rng.integers(0, 3)))
+
+
+def _side_width(m: SuperMatrix, side: Side) -> int:
+    return m.n_rows if side is Side.DOMAIN else m.n_cols
+
+
+def _assert_census_matches_engine(m, side, policy, one_sided, masks, label):
+    """The census contract, and the engine's cycle for each seed in masks."""
+    census = enumerate_attractors(m, side, policy, one_sided=one_sided)
+    part = m.row_partition if side is Side.DOMAIN else m.col_partition
+    counts = np.bincount(census.assignment)
+    assert census.basin_sizes() == tuple(counts.tolist())
+    assert sum(census.basin_sizes()) == 1 << part.total
+    # attractor k is first reached by a smaller seed than k + 1
+    _, first = np.unique(census.assignment, return_index=True)
+    assert len(first) == len(census.attractors)
+    assert (np.diff(first) > 0).all()
+    for mask in masks:
+        hp = run_hidden_pattern(
+            m,
+            seed_state(mask, side, part),
+            policy,
+            one_sided=one_sided,
+            record_trace=False,
+        )
+        got = canonical(pattern_cycle_masks(hp, side))
+        assert got == census.attractor_of(mask).states, (
+            f"{label}, {side.value} seed {mask}"
+        )
+
+
 class TestEnumeration:
     def test_basins_sum_expert_model(self):
         census = enumerate_attractors(EXPERTS_12X6, Side.RANGE, GT0_POLICY)
@@ -327,11 +363,6 @@ class TestEnumeration:
     @pytest.mark.parametrize("mode", list(FirstStepMode))
     def test_agrees_with_engine_in_every_first_step_mode(self, mode):
         rng = np.random.default_rng(20260)
-
-        def rule():
-            cmp = Comparator(str(rng.choice(["ge", "gt"])))
-            return ThresholdRule(cmp, int(rng.integers(0, 3)))
-
         for trial in range(16):
             one_sided = trial % 2 == 0
             rows = int(rng.integers(2, 7))
@@ -339,33 +370,90 @@ class TestEnumeration:
             m = SuperMatrix.simple(
                 rng.integers(-1, 2, size=(rows, cols)).astype(float)
             )
-            policy = ThresholdPolicy(rule(), rule(), rule(), mode)
+            policy = ThresholdPolicy(
+                _random_rule(rng), _random_rule(rng), _random_rule(rng), mode
+            )
             sides = [Side.DOMAIN] if one_sided else [Side.DOMAIN, Side.RANGE]
             for side in sides:
-                census = enumerate_attractors(
-                    m, side, policy, one_sided=one_sided
+                n = _side_width(m, side)
+                _assert_census_matches_engine(
+                    m, side, policy, one_sided, range(1 << n), f"trial {trial}"
                 )
-                part = m.row_partition if side is Side.DOMAIN else m.col_partition
-                total = 1 << part.total
-                counts = np.bincount(census.assignment)
-                assert census.basin_sizes() == tuple(counts.tolist())
-                assert sum(census.basin_sizes()) == total
-                # attractor k is first reached by a smaller seed than k + 1
-                _, first = np.unique(census.assignment, return_index=True)
-                assert len(first) == len(census.attractors)
-                assert (np.diff(first) > 0).all()
-                for mask in range(total):
-                    hp = run_hidden_pattern(
-                        m,
-                        seed_state(mask, side, part),
-                        policy,
-                        one_sided=one_sided,
-                        record_trace=False,
-                    )
-                    got = canonical(pattern_cycle_masks(hp, side))
-                    assert got == census.attractor_of(mask).states, (
-                        f"trial {trial}, {side.value} seed {mask}"
-                    )
+
+    @pytest.mark.parametrize("mode", list(FirstStepMode))
+    def test_agrees_with_engine_across_the_chunk_boundary(self, mode):
+        # the round table is built in chunks of 2**16 masks from separate
+        # sums over the low 16 seed bits and the bits above them, so these
+        # seeds all have a bit above 15 set
+        rng = np.random.default_rng(1718)
+        for one_sided, shape in ((True, (18, 18)), (False, (17, 18))):
+            m = SuperMatrix.simple(rng.integers(-1, 2, size=shape).astype(float))
+            # a larger first-step cutoff extinguishes every unit seed's row
+            policy = ThresholdPolicy(_random_rule(rng), _random_rule(rng), GT0, mode)
+            sides = [Side.DOMAIN] if one_sided else [Side.DOMAIN, Side.RANGE]
+            for side in sides:
+                n = _side_width(m, side)
+                high = [1 << i for i in range(16, n)] + [(1 << n) - 1]
+                sampled = rng.integers(1 << 16, 1 << n, size=200).tolist()
+                _assert_census_matches_engine(
+                    m, side, policy, one_sided, high + sampled, f"{shape}"
+                )
+
+    def test_attractor_of_rejects_foreign_seeds(self):
+        census = enumerate_attractors(GROUPS_5X12, Side.DOMAIN, GT0_POLICY)
+        for mask in (-1, 32, 1 << 40):
+            with pytest.raises(IndexOutOfRange):
+                census.attractor_of(mask)
+        # the range side, with its own 12 nodes or the domain's 5, and the
+        # 5 domain nodes under other blocks
+        for seed in (
+            seed_state(1, Side.RANGE, GROUPS_5X12.col_partition),
+            seed_state(1, Side.RANGE, GROUPS_5X12.row_partition),
+            seed_state(1, Side.DOMAIN, Partition([2, 3])),
+        ):
+            with pytest.raises(DimensionMismatch):
+                census.attractor_of(seed)
+        seed = seed_state(31, Side.DOMAIN, GROUPS_5X12.row_partition)
+        assert census.attractor_of(seed) == census.attractor_of(31)
+
+    def test_columns_and_view(self, monkeypatch):
+        built = []
+
+        class Counted(Attractor):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(dynamics, "Attractor", Counted)
+        m = SuperMatrix.simple(
+            [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
+        )
+        census = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        view = census.attractors
+        assert built == []  # the census and its view build no Attractor
+        assert len(view) == len(census.periods) == len(census.offsets) - 1
+        assert hash(view) == hash(census.attractors)
+        assert built == []
+        listed = list(view)
+        assert len(built) == len(view)
+        for k, a in enumerate(listed):
+            lo, hi = census.offsets[k], census.offsets[k + 1]
+            assert a == view[k] == view[k - len(view)]
+            assert a.states == tuple(census.states[lo:hi].tolist())
+            assert all(type(s) is int for s in a.states)
+            assert (a.period, a.basin_size) == (census.periods[k], census.basins[k])
+            assert a.kind is PatternKind.of_period(a.period)
+        assert view[1:3] == tuple(listed[1:3])
+        with pytest.raises(IndexError):
+            view[len(view)]
+        for column in (census.states, census.assignment):
+            with pytest.raises(ValueError):
+                column[0] = 1  # the columns are read-only
+        again = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        assert again.attractors == view and hash(again.attractors) == hash(view)
+        other = enumerate_attractors(m, Side.DOMAIN, ThresholdPolicy(GE2, GE2),
+                                     one_sided=True)
+        assert other.attractors != view
 
     def test_state_space_guard(self):
         census_limit = 1 << 3
