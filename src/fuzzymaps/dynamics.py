@@ -13,6 +13,7 @@ the same state repeatedly against a square matrix.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -85,13 +86,13 @@ class ThresholdRule:
         object.__setattr__(self, "comparator", Comparator(self.comparator))
         object.__setattr__(self, "cutoff", float(self.cutoff))
 
+    @property
+    def compare(self) -> np.ufunc:
+        """The elementwise test, called as ``compare(raw, cutoff)``."""
+        return np.greater_equal if self.comparator is Comparator.GE else np.greater
+
     def apply(self, raw) -> np.ndarray:
-        a = np.asarray(raw, dtype=float)
-        if self.comparator is Comparator.GE:
-            bits = a >= self.cutoff
-        else:
-            bits = a > self.cutoff
-        return bits.astype(np.uint8)
+        return self.compare(np.asarray(raw, dtype=float), self.cutoff).astype(np.uint8)
 
     def describe(self) -> str:
         sym = ">=" if self.comparator is Comparator.GE else ">"
@@ -156,8 +157,8 @@ class StateVector:
     partition: Partition
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if any(b not in (0, 1) for b in bits):
+        bits = tuple(map(int, self.bits))
+        if not set(bits) <= {0, 1}:
             raise ValueError("state bits must be 0 or 1")
         if self.partition.total != len(bits):
             raise DimensionMismatch(
@@ -320,16 +321,6 @@ def _side_partition(matrix: SuperMatrix, side: Side) -> Partition:
     return matrix.row_partition if side is Side.DOMAIN else matrix.col_partition
 
 
-def _check_seed(matrix: SuperMatrix, seed: StateVector, one_sided: bool) -> None:
-    if one_sided and matrix.n_rows != matrix.n_cols:
-        raise DimensionMismatch("one-sided runs need a square matrix")
-    expect = matrix.n_rows if seed.side is Side.DOMAIN else matrix.n_cols
-    if len(seed) != expect:
-        raise DimensionMismatch(
-            f"seed on {seed.side.value} side needs length {expect}, got {len(seed)}"
-        )
-
-
 def step(
     matrix: SuperMatrix,
     state: StateVector,
@@ -374,6 +365,22 @@ def step(
     )
 
 
+def _check_run(
+    matrix: SuperMatrix, seed: StateVector, max_steps: int, one_sided: bool
+) -> None:
+    if max_steps < 2:
+        raise ValueError("max_steps must be at least 2")
+    if one_sided and matrix.n_rows != matrix.n_cols:
+        raise DimensionMismatch("one-sided runs need a square matrix")
+    expect = matrix.n_rows if seed.side is Side.DOMAIN else matrix.n_cols
+    if len(seed) != expect:
+        raise DimensionMismatch(
+            f"seed on {seed.side.value} side needs length {expect}, got {len(seed)}"
+        )
+    if seed.partition != _side_partition(matrix, seed.side):
+        raise DimensionMismatch("seed partition does not match the matrix")
+
+
 def run_hidden_pattern(
     matrix: SuperMatrix,
     seed: StateVector,
@@ -388,104 +395,130 @@ def run_hidden_pattern(
     the initial seed itself is excluded because the first product may be
     thresholded by a different rule, so only later states are guaranteed
     to lie on the stationary map.  Recurrence at the immediately preceding
-    visit is a fixed point, any longer gap a limit cycle.
+    visit is a fixed point, any longer gap a limit cycle.  Every product is
+    the one :func:`step` computes; the trace holds its records.
     """
-    if max_steps < 2:
-        raise ValueError("max_steps must be at least 2")
-    _check_seed(matrix, seed, one_sided)
-    seed_part = _side_partition(matrix, seed.side)
-    if seed.partition != seed_part:
-        raise DimensionMismatch("seed partition does not match the matrix")
-    opp_side = seed.side.opposite
-    opp_part = _side_partition(matrix, opp_side)
+    _check_run(matrix, seed, max_steps, one_sided)
+    return _run(matrix, seed, policy, max_steps, one_sided, record_trace)
 
-    trace: list[StepRecord] = []
+
+def _run(
+    matrix: SuperMatrix,
+    seed: StateVector,
+    policy: ThresholdPolicy,
+    max_steps: int,
+    one_sided: bool,
+    record_trace: bool,
+) -> HiddenPattern:
+    """The engine core: iterate on uint8 arrays, build objects on return.
+
+    A product is one matmul on the frozen entries (``x @ M`` from a domain
+    state, ``M @ x`` from a range state, as :func:`special_product`), one
+    compare against the cutoff and, on the seed's side, ``| seed``.  Each
+    seed-side state is keyed by its packed bits; the first key seen twice
+    closes the pattern.
+    """
+    entries = matrix.entries
+    seed_side = seed.side
+    seed_bits = np.array(seed.bits, dtype=np.uint8)
+
+    def move(forward: bool, produced: Side, rule: ThresholdRule):
+        return forward, produced, rule, rule.compare, rule.cutoff, produced is seed_side
+
+    if one_sided:
+        moves = [move(True, seed_side, policy.rule_for(seed_side))]
+    else:
+        opp_side = seed_side.opposite
+        moves = [
+            move(seed_side is Side.DOMAIN, opp_side, policy.rule_for(opp_side)),
+            move(opp_side is Side.DOMAIN, seed_side, policy.rule_for(seed_side)),
+        ]
+    first = moves[0]
+    if policy.first_step_applies(seed, 1):
+        first = move(*first[:2], policy.first_step_rule)
+    schedule = itertools.chain([first], itertools.cycle(moves[1:] + moves[:1]))
+
+    trace: list = []
     # per completed round: (seed-side bits, opposite-side bits of the round)
-    rounds: list[tuple[tuple[int, ...], Optional[tuple[int, ...]]]] = []
-    visited: dict[tuple[int, ...], int] = {}
-
-    state = seed
-    opp_bits: Optional[tuple[int, ...]] = None
-    products = 0
-    while products < max_steps:
-        products += 1
-        rec = step(matrix, state, policy, seed, products, one_sided=one_sided)
+    rounds: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
+    visited: dict[bytes, int] = {}  # packed seed-side bits -> 1-based round
+    state, opp = seed_bits, None
+    for forward, produced, rule, compare, cutoff, forced in itertools.islice(
+        schedule, max_steps
+    ):
+        raw = state @ entries if forward else entries @ state
+        bits = compare(raw, cutoff).view(np.uint8)
+        state = bits | seed_bits if forced else bits
         if record_trace:
-            trace.append(rec)
-        part = seed_part if rec.produced_side is seed.side else opp_part
-        state = StateVector(rec.after_update, rec.produced_side, part)
-        if rec.produced_side is not seed.side:
-            opp_bits = rec.after_update
+            trace.append((produced, raw, bits, state, rule))
+        if not forced:
+            opp = state
             continue
-        v = rec.after_update
-        if v in visited:
-            j = visited[v]  # 1-based round index of first occurrence
-            k = len(rounds) + 1
-            period = k - j
-            pairs = _build_pairs(
-                rounds, (v, opp_bits), j, period, seed.side,
-                seed_part, opp_part, one_sided,
-            )
-            return HiddenPattern(
-                kind=PatternKind.of_period(period),
-                period=period,
-                pair_sequence=pairs,
-                steps_to_enter=j - 1,
-                trace=tuple(trace) if record_trace else None,
-            )
-        visited[v] = len(rounds) + 1
-        rounds.append((v, opp_bits))
-        opp_bits = None
+        rounds.append((state, opp))
+        key = np.packbits(state).tobytes()
+        j = visited.get(key)
+        if j is None:
+            visited[key] = len(rounds)
+            continue
+        period = len(rounds) - j
+        return HiddenPattern(
+            kind=PatternKind.of_period(period),
+            period=period,
+            pair_sequence=_pairs(matrix, rounds, j, period, seed_side, one_sided),
+            steps_to_enter=j - 1,
+            trace=_records(trace) if record_trace else None,
+        )
     raise StepLimitExceeded(
-        f"no recurrence within {max_steps} products; the cap is too small"
+        f"no seed-side state recurred within {max_steps} products; "
+        "raise max_steps (--max-steps) to run longer"
     )
 
 
-def _build_pairs(
-    rounds: Sequence[tuple[tuple[int, ...], Optional[tuple[int, ...]]]],
-    closing_round: tuple[tuple[int, ...], Optional[tuple[int, ...]]],
+def _records(trace: list) -> tuple[StepRecord, ...]:
+    return tuple(
+        StepRecord(
+            step_index=k,
+            produced_side=produced,
+            raw=tuple(raw.tolist()),
+            thresholded=tuple(bits.tolist()),
+            after_update=tuple(state.tolist()),
+            rule_applied=rule,
+        )
+        for k, (produced, raw, bits, state, rule) in enumerate(trace, 1)
+    )
+
+
+def _pairs(
+    matrix: SuperMatrix,
+    rounds: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
     j: int,
     period: int,
     seed_side: Side,
-    seed_part: Partition,
-    opp_part: Partition,
     one_sided: bool,
 ) -> tuple[tuple[StateVector, StateVector], ...]:
     """Assemble (domain, range) pairs for the cycle rounds j .. j+period-1.
 
-    ``rounds`` holds completed rounds 1 .. k-1 and ``closing_round`` is
-    round k, the one whose seed-side state closed the cycle.
+    ``rounds`` holds the completed rounds 1 .. j+period, the last one the
+    round whose seed-side state closed the cycle.
     """
-    def round_at(t: int):
-        return rounds[t - 1] if t <= len(rounds) else closing_round
+    def state(bits: np.ndarray, side: Side) -> StateVector:
+        return StateVector(tuple(bits.tolist()), side, _side_partition(matrix, side))
 
     pairs: list[tuple[StateVector, StateVector]] = []
     for t in range(period):
+        v_bits, _ = rounds[j - 1 + t]  # round j+t
+        v_next, opp_next = rounds[j + t]  # round j+t+1
         if one_sided:
-            v_bits, _ = round_at(j + t)
-            v_state = StateVector(v_bits, seed_side, seed_part)
-            pairs.append((v_state, v_state))
+            v = state(v_bits, seed_side)
+            pairs.append((v, v))
         elif seed_side is Side.DOMAIN:
             # a round maps v (domain) forward to the next round's opposite
             # state, so v_{j+t} pairs with the range state of round j+t+1
-            v_bits, _ = round_at(j + t)
-            _, opp_next = round_at(j + t + 1)
-            pairs.append(
-                (
-                    StateVector(v_bits, seed_side, seed_part),
-                    StateVector(opp_next, seed_side.opposite, opp_part),
-                )
-            )
+            pairs.append((state(v_bits, Side.DOMAIN), state(opp_next, Side.RANGE)))
         else:
             # a round runs backward into d then forward into v, so both
             # members of a pair come from the same round j+t+1
-            v_bits, opp_bits = round_at(j + t + 1)
-            pairs.append(
-                (
-                    StateVector(opp_bits, seed_side.opposite, opp_part),
-                    StateVector(v_bits, seed_side, seed_part),
-                )
-            )
+            pairs.append((state(opp_next, Side.DOMAIN), state(v_next, Side.RANGE)))
     return tuple(pairs)
 
 
@@ -506,18 +539,12 @@ def sweep_unit_seeds(
     """Run every unit vector on ``side``, in index order."""
     side = Side(side)
     part = _side_partition(matrix, side)
-    out = []
-    for i in range(part.total):
-        seed = unit_seed(i, side, part)
-        out.append(
-            (
-                i,
-                run_hidden_pattern(
-                    matrix, seed, policy, max_steps, one_sided, record_trace
-                ),
-            )
-        )
-    return tuple(out)
+    seeds = [unit_seed(i, side, part) for i in range(part.total)]
+    _check_run(matrix, seeds[0], max_steps, one_sided)  # all share one shape
+    return tuple(
+        (i, _run(matrix, seed, policy, max_steps, one_sided, record_trace))
+        for i, seed in enumerate(seeds)
+    )
 
 
 # --- exhaustive enumeration ------------------------------------------------
@@ -535,7 +562,7 @@ class Attractor:
     basin_size: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttractorCensus:
     """Every seed's outcome, grouped by attractor, stored as columns.
 
@@ -545,6 +572,7 @@ class AttractorCensus:
     smallest seed, and ``assignment`` maps every seed bitmask to its
     attractor's number.  All five columns are read-only int64 arrays;
     :attr:`attractors` builds :class:`Attractor` objects only on access.
+    Equality and hash go by value over the side, partition and columns.
     """
 
     side: Side
@@ -582,6 +610,22 @@ class AttractorCensus:
 
     def basin_sizes(self) -> tuple[int, ...]:
         return tuple(self.basins.tolist())
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return self.periods, self.basins, self.states, self.offsets, self.assignment
+
+    def __eq__(self, other):
+        if not isinstance(other, AttractorCensus):
+            return NotImplemented
+        return (
+            self.side is other.side
+            and self.partition == other.partition
+            and all(map(np.array_equal, self._columns(), other._columns()))
+        )
+
+    def __hash__(self) -> int:
+        columns = tuple(col.tobytes() for col in self._columns())
+        return hash((self.side, self.partition) + columns)
 
 
 class Attractors(Sequence):

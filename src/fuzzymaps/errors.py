@@ -38,10 +38,12 @@ class IndexOutOfRange(FuzzyMapsError, IndexError):
 
 
 class StepLimitExceeded(FuzzyMapsError, RuntimeError):
-    """The iteration cap was hit before a state recurred.
+    """The iteration cap was hit before a seed-side state recurred.
 
-    Binary state spaces are finite, so with an adequate cap this signals
-    an engine bug or an unreasonably small ``max_steps``.
+    Every run recurs eventually, but a side of n binary nodes has 2^n
+    states, so on a large model a run may not recur within any practical
+    cap.  This is an outcome of the model, not a fault: raise ``max_steps``
+    (``--max-steps`` on the command line) to run longer.
     """
 
 

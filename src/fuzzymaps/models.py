@@ -7,8 +7,11 @@ from the two partitions, never from prose names.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .dynamics import (
@@ -93,6 +96,16 @@ class ModelSpec:
             else self.matrix.col_partition
         )
 
+    @cached_property
+    def diagnostics(self) -> tuple["Diagnostic", ...]:
+        """:func:`validate_model` of this spec, computed on first read only."""
+        return validate_model(self)
+
+    def require_valid(self) -> None:
+        """Raise :class:`ModelValidationError` naming every diagnostic."""
+        if self.diagnostics:
+            raise ModelValidationError("; ".join(str(p) for p in self.diagnostics))
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -145,8 +158,8 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                             f"{len(blk)} labels against block width {size}",
                         )
                     )
-        flat = [label for blk in blocks for label in blk]
-        dupes = sorted({x for x in flat if flat.count(x) > 1})
+        counts = Counter(label for blk in blocks for label in blk)
+        dupes = sorted(x for x, c in counts.items() if c > 1)
         if dupes:
             out.append(
                 Diagnostic(
@@ -164,6 +177,16 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                 f"entry {v:g} outside {spec.entry_domain.value}",
             )
         )
+
+    for where, rule in (
+        ("policy.domain", spec.policy.domain_rule),
+        ("policy.range", spec.policy.range_rule),
+        ("policy.first_step", spec.policy.first_step_rule),
+    ):
+        if not math.isfinite(rule.cutoff):
+            out.append(
+                Diagnostic("cutoff", where, f"cutoff {rule.cutoff:g} is not finite")
+            )
 
     if spec.kind is ModelKind.FCM:
         if m.n_rows != m.n_cols:
@@ -255,12 +278,14 @@ def run_model(
     overrides: Optional[PolicyOverrides] = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> HiddenPattern:
-    """Validate, merge policy overrides, and run the hidden-pattern engine."""
-    problems = validate_model(spec)
-    if problems:
-        raise ModelValidationError(
-            "; ".join(str(p) for p in problems)
-        )
+    """Merge policy overrides and run the hidden-pattern engine.
+
+    An invalid ``spec`` raises :class:`ModelValidationError`.  The spec is
+    validated at most once in its life (:attr:`ModelSpec.diagnostics`), so
+    a spec from :func:`~fuzzymaps.model_io.parse_model` is not validated
+    again here.  The pattern carries the trace of every product.
+    """
+    spec.require_valid()
     policy = overrides.merge(spec.policy) if overrides else spec.policy
     return run_hidden_pattern(
         spec.matrix,

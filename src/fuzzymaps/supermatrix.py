@@ -353,33 +353,37 @@ def classify(matrix: SuperMatrix) -> MatrixKind:
 
 
 class EntryDomain(str, Enum):
-    """Admissible numeric ranges for connection-matrix entries."""
+    """Admissible numeric ranges for connection-matrix entries.
+
+    Every domain is a set of finite reals: NaN and infinities lie outside
+    all of them, ``unrestricted`` included.
+    """
 
     FUZZY_UNIT = "fuzzy_unit"
     SIGNED_TERNARY = "signed_ternary"
     SIGNED_UNIT = "signed_unit"
     UNRESTRICTED = "unrestricted"
 
-    def contains(self, value: float) -> bool:
+    def contains(self, values) -> np.ndarray:
+        """Elementwise membership of ``values`` (a number or an array)."""
+        v = np.asarray(values, dtype=float)
         if self is EntryDomain.UNRESTRICTED:
-            return True
+            return np.isfinite(v)
         if self is EntryDomain.FUZZY_UNIT:
-            return 0.0 <= value <= 1.0
+            return (0.0 <= v) & (v <= 1.0)
         if self is EntryDomain.SIGNED_TERNARY:
-            return value in (-1.0, 0.0, 1.0)
-        return -1.0 <= value <= 1.0
+            return (v == -1.0) | (v == 0.0) | (v == 1.0)
+        return (-1.0 <= v) & (v <= 1.0)
 
 
 def check_entry_domain(
     matrix: SuperMatrix, domain: EntryDomain
 ) -> list[tuple[int, int, float]]:
-    """Cells violating ``domain`` as (row, col, value); empty means ok."""
-    domain = EntryDomain(domain)
-    out: list[tuple[int, int, float]] = []
-    for (i, j), v in np.ndenumerate(matrix.entries):
-        if not domain.contains(float(v)):
-            out.append((int(i), int(j), float(v)))
-    return out
+    """Cells violating ``domain`` as (row, col, value) in row-major order;
+    empty means ok."""
+    rows, cols = np.nonzero(~EntryDomain(domain).contains(matrix.entries))
+    values = matrix.entries[rows, cols]
+    return list(zip(rows.tolist(), cols.tolist(), values.tolist()))
 
 
 def reassemble(matrix: SuperMatrix) -> np.ndarray:

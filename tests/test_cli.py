@@ -36,6 +36,25 @@ class TestValidate:
         assert code == 3
         assert "matrix[5]" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["run", "--side", "domain", "--on", "1"],
+            ["sweep", "--side", "domain"],
+            ["attractors", "--side", "domain"],
+        ],
+    )
+    def test_nan_entry_is_invalid_model(self, capsys, tmp_path, argv):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["entry_domain"] = "unrestricted"
+        doc["matrix"][1][2] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 3
+        assert "matrix[1][2]: entry nan outside unrestricted" in err
+
     def test_no_input(self, capsys):
         code, out, err = run_cli(capsys, "validate")
         assert code == 2
@@ -134,6 +153,16 @@ class TestRun:
             "--threshold-domain", "gte/2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("rule", ["gt:nan", "ge:inf", "ge:-inf", "gt:NaN"])
+    @pytest.mark.parametrize("flag", ["--threshold-domain", "--threshold-range",
+                                      "--first-step"])
+    def test_non_finite_override_is_usage_error(self, capsys, flag, rule):
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "sec_2_5_fcm", "--on", "R1", flag, rule
+        )
+        assert code == 2
+        assert "not finite" in err and out == ""
 
     def test_trace_flag(self, capsys):
         code, out, err = run_cli(

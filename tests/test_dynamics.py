@@ -1,13 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzymaps import (
+    FIXTURE_NAMES,
     Attractor,
     Comparator,
     Direction,
+    EntryDomain,
     FirstStepMode,
+    ModelKind,
+    ModelSpec,
     Partition,
     PatternKind,
     Side,
@@ -18,6 +24,7 @@ from fuzzymaps import (
     apply_threshold,
     apply_update,
     enumerate_attractors,
+    load_fixture,
     run_hidden_pattern,
     special_product,
     step,
@@ -285,6 +292,123 @@ class TestSweep:
         assert r.bits == (0,)  # nothing propagates
 
 
+def _stepped(matrix, seed, policy, one_sided, products):
+    """The records of ``products`` calls of the public :func:`step`."""
+    records, state = [], seed
+    for k in range(1, products + 1):
+        rec = step(matrix, state, policy, seed, k, one_sided=one_sided)
+        records.append(rec)
+        part = (
+            matrix.row_partition
+            if rec.produced_side is Side.DOMAIN
+            else matrix.col_partition
+        )
+        state = StateVector(rec.after_update, rec.produced_side, part)
+    return tuple(records)
+
+
+def _assert_trace_is_stepped(matrix, seed, policy, one_sided):
+    hp = run_hidden_pattern(matrix, seed, policy, one_sided=one_sided)
+    assert hp.trace == _stepped(matrix, seed, policy, one_sided, len(hp.trace))
+    # the run stops at the first seed-side state seen twice
+    seen = [r.after_update for r in hp.trace if r.produced_side is seed.side]
+    assert len(set(seen)) == len(seen) - 1
+    first = seen.index(seen[-1])
+    assert (hp.steps_to_enter, hp.period) == (first, len(seen) - 1 - first)
+    return hp
+
+
+def _fuzzy_spec() -> ModelSpec:
+    rng = np.random.default_rng(4242)
+    entries = np.round(rng.random((9, 7)) * (rng.random((9, 7)) < 0.4), 1)
+    spec = ModelSpec(
+        name="fuzzy",
+        kind=ModelKind.SUPER_FRM,
+        domain_labels=(tuple("abcd"), tuple("efghi")),
+        range_labels=(tuple("pqr"), tuple("stuv")),
+        matrix=SuperMatrix(entries, Partition([4, 5]), Partition([3, 4])),
+        entry_domain=EntryDomain.FUZZY_UNIT,
+        policy=ThresholdPolicy(
+            ThresholdRule(Comparator.GE, 0.3), ThresholdRule(Comparator.GT, 0.6)
+        ),
+    )
+    assert spec.diagnostics == ()
+    return spec
+
+
+class TestEngineCore:
+    """The array core against the public per-product seam functions."""
+
+    @pytest.mark.parametrize("mode", list(FirstStepMode))
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_trace_equals_stepped_records(self, name, mode):
+        spec = load_fixture(name)
+        policy = replace(spec.policy, first_step_mode=mode)
+        rng = np.random.default_rng(len(name))
+        sides = [Side.DOMAIN] if spec.one_sided else [Side.DOMAIN, Side.RANGE]
+        for side in sides:
+            part = spec.side_partition(side)
+            n = part.total
+            seeds = [[i] for i in range(n)] + [
+                sorted(rng.choice(n, size=k, replace=False).tolist()) for k in (2, 3)
+            ]
+            for on in seeds:
+                seed = StateVector.from_on_indices(on, side, part)
+                _assert_trace_is_stepped(spec.matrix, seed, policy, spec.one_sided)
+
+    def test_trace_equals_stepped_records_on_fuzzy_entries(self):
+        spec = _fuzzy_spec()
+        for side in (Side.DOMAIN, Side.RANGE):
+            part = spec.side_partition(side)
+            for mask in range(1, 1 << min(part.total, 7)):
+                seed = seed_state(mask, side, part)
+                _assert_trace_is_stepped(spec.matrix, seed, spec.policy, False)
+
+    @pytest.mark.parametrize(
+        "name, side, one_sided",
+        [
+            ("sec_2_5_fcm", Side.DOMAIN, True),
+            ("sec_2_5_fcm", Side.RANGE, True),
+            ("sec_2_2", Side.DOMAIN, False),
+            ("sec_2_2", Side.RANGE, False),
+        ],
+    )
+    def test_max_steps_boundary(self, name, side, one_sided):
+        spec = load_fixture(name)
+        m, part = spec.matrix, spec.side_partition(side)
+        runs = []
+        for i in range(part.total):
+            seed = StateVector.from_on_indices([i], side, part)
+            hp = run_hidden_pattern(m, seed, spec.policy, one_sided=one_sided)
+            runs.append((len(hp.trace), seed, hp))
+        # the longest unit-seed run, so that k - 1 is a valid cap
+        k, seed, hp = max(runs, key=lambda r: r[0])
+        assert k >= 3
+        capped = run_hidden_pattern(
+            m, seed, spec.policy, max_steps=k, one_sided=one_sided
+        )
+        assert capped == hp
+        with pytest.raises(StepLimitExceeded, match="max_steps"):
+            run_hidden_pattern(
+                m, seed, spec.policy, max_steps=k - 1, one_sided=one_sided
+            )
+
+    def test_sweep_rows_equal_single_runs_on_fuzzy_model(self):
+        spec = _fuzzy_spec()
+        for side in (Side.DOMAIN, Side.RANGE):
+            part = spec.side_partition(side)
+            for trace in (False, True):
+                rows = sweep_unit_seeds(
+                    spec.matrix, side, spec.policy, record_trace=trace
+                )
+                assert [i for i, _ in rows] == list(range(part.total))
+                for i, hp in rows:
+                    seed = StateVector.from_on_indices([i], side, part)
+                    assert hp == run_hidden_pattern(
+                        spec.matrix, seed, spec.policy, record_trace=trace
+                    )
+
+
 def _random_rule(rng) -> ThresholdRule:
     cmp = Comparator(str(rng.choice(["ge", "gt"])))
     return ThresholdRule(cmp, int(rng.integers(0, 3)))
@@ -454,6 +578,24 @@ class TestEnumeration:
         other = enumerate_attractors(m, Side.DOMAIN, ThresholdPolicy(GE2, GE2),
                                      one_sided=True)
         assert other.attractors != view
+
+    def test_census_equality_and_hash_by_value(self):
+        # a generated dataclass __eq__ would compare the ndarray columns
+        # inside a tuple and raise ValueError here
+        m = SuperMatrix.simple([[0, 1], [-1, 0]])
+        a = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        b = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != a.attractors
+        m4 = SuperMatrix.simple(
+            [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
+        )
+        c = enumerate_attractors(m4, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        ge2 = ThresholdPolicy(GE2, GE2)
+        d = enumerate_attractors(m4, Side.DOMAIN, ge2, one_sided=True)
+        assert c != d and hash(c) != hash(d)
+        # the same columns on another side are another census
+        assert c != replace(c, side=Side.RANGE)
 
     def test_state_space_guard(self):
         census_limit = 1 << 3

@@ -117,6 +117,26 @@ class TestParseErrors:
         with pytest.raises(ModelSchemaError, match="domain"):
             parse_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("domain", ["fuzzy_unit", "signed_ternary", "signed_unit",
+                                        "unrestricted"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_entry_is_validation_error(self, domain, literal):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["entry_domain"] = domain
+        doc["matrix"] = [[0] * len(row) for row in doc["matrix"]]
+        text = json.dumps(doc).replace("0]", literal + "]", 1)
+        with pytest.raises(ModelValidationError, match=r"matrix\[0\]\[5\]"):
+            parse_model(text)
+
+    @pytest.mark.parametrize("where", ["domain", "range", "first_step"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cutoff_is_validation_error(self, where, literal):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["policy"][where]["cutoff"] = "CUTOFF"
+        text = json.dumps(doc).replace('"CUTOFF"', literal)
+        with pytest.raises(ModelValidationError, match=f"policy.{where}"):
+            parse_model(text)
+
     def test_kind_mismatch_is_validation_error(self):
         doc = json.loads(fixture_text("ex_1_2_2"))
         doc["kind"] = "super_row_frm"

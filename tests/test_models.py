@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,16 @@ from fuzzymaps import (
     ThresholdPolicy,
     ThresholdRule,
     describe,
+    fixture_text,
     load_fixture,
     parse_model,
+    partition_matrix,
     run_model,
     seed_from_labels,
     serialize_model,
     validate_model,
 )
+from fuzzymaps import models
 from fuzzymaps.errors import ModelValidationError, UnknownLabel, WrongSide
 
 from _util import bits
@@ -99,6 +104,50 @@ class TestValidate:
             for d in diags
         )
 
+    def test_diagnostic_strings_pinned(self):
+        bad = tiny_spec(
+            kind=ModelKind.SUPER_ROW_FRM,
+            domain_labels=(("a", "b", "a"),),
+            range_labels=(("x", "y"), ("x", "z", "y")),
+            matrix=partition_matrix(
+                [[0.5, -1, 2], [1, 1.5, 0], [0, 0, -0.25]], (), (2,)
+            ),
+        )
+        assert [str(d) for d in validate_model(bad)] == [
+            "duplicate_labels at domain.blocks: labels repeat: a",
+            "label_block_size at range.blocks[1]: 3 labels against block width 1",
+            "duplicate_labels at range.blocks: labels repeat: x, y",
+            "entry_domain at matrix[0][0]: entry 0.5 outside signed_ternary",
+            "entry_domain at matrix[0][2]: entry 2 outside signed_ternary",
+            "entry_domain at matrix[1][1]: entry 1.5 outside signed_ternary",
+            "entry_domain at matrix[2][2]: entry -0.25 outside signed_ternary",
+        ]
+
+    @pytest.mark.parametrize("domain", list(EntryDomain))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entry_refused_in_every_domain(self, domain, value):
+        bad = tiny_spec(
+            matrix=SuperMatrix.simple([[1.0, value]]),
+            range_labels=(("y", "z"),),
+            entry_domain=domain,
+        )
+        assert [str(d) for d in validate_model(bad)] == [
+            f"entry_domain at matrix[0][1]: entry {value:g} outside {domain.value}"
+        ]
+
+    @pytest.mark.parametrize("field", ["domain_rule", "range_rule", "first_step_rule"])
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cutoff_refused(self, field, cutoff):
+        policy = ThresholdPolicy(
+            ThresholdRule(Comparator.GT, 0), ThresholdRule(Comparator.GT, 0)
+        )
+        rule = ThresholdRule(Comparator.GE, cutoff)
+        bad = tiny_spec(policy=replace(policy, **{field: rule}))
+        where = "policy." + field.removesuffix("_rule")
+        assert [str(d) for d in validate_model(bad)] == [
+            f"cutoff at {where}: cutoff {cutoff:g} is not finite"
+        ]
+
 
 class TestSeeds:
     def test_unit_seed_by_label(self):
@@ -165,6 +214,28 @@ class TestRunModel:
         seed = StateVector((1,), Side.DOMAIN, Partition([1]))
         with pytest.raises(ModelValidationError):
             run_model(bad, seed)
+
+    def test_spec_validated_once(self, monkeypatch):
+        calls = []
+        original = models.validate_model
+
+        def counted(spec):
+            calls.append(spec.name)
+            return original(spec)
+
+        monkeypatch.setattr(models, "validate_model", counted)
+        spec = parse_model(fixture_text("sec_2_4"))
+        assert calls == ["sec_2_4"]
+        seed = seed_from_labels(spec, {"T7"}, Side.DOMAIN)
+        run_model(spec, seed)
+        run_model(spec, seed, overrides=PolicyOverrides(first_step_mode="never"))
+        assert calls == ["sec_2_4"]
+        bad = tiny_spec(matrix=SuperMatrix.simple([[2.0]]))
+        seed = StateVector((1,), Side.DOMAIN, Partition([1]))
+        for _ in range(2):
+            with pytest.raises(ModelValidationError, match=r"matrix\[0\]\[0\]"):
+                run_model(bad, seed)
+        assert calls == ["sec_2_4", "tiny"]
 
     def test_overrides_equal_to_defaults_are_identical(self):
         spec = load_fixture("sec_2_2")

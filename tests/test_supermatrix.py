@@ -281,6 +281,15 @@ class TestEntryDomain:
         m = SuperMatrix.simple([[1e9, -42.5]])
         assert check_entry_domain(m, EntryDomain.UNRESTRICTED) == []
 
+    @pytest.mark.parametrize("domain", list(EntryDomain))
+    def test_non_finite_cells_in_row_major_order(self, domain):
+        nan, inf = float("nan"), float("inf")
+        m = SuperMatrix.simple([[0.0, inf], [-inf, 1.0], [0.0, nan]])
+        got = check_entry_domain(m, domain)
+        assert [(i, j) for i, j, _ in got] == [(0, 1), (1, 0), (2, 1)]
+        assert got[0][2] == inf and got[1][2] == -inf and np.isnan(got[2][2])
+        assert all(type(i) is int and type(j) is int for i, j, _ in got)
+
 
 class TestValidation:
     def test_partition_must_cover_entries(self):
