@@ -429,10 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves a parser unchanged, so one serves every call.  It is
+# built at import, among the other long-lived objects: first built inside a
+# run, after large arrays had come and gone, it made the heap give memory
+# back to the system after each large census, to be faulted in again.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage problems and 0 for --help
         return int(e.code or 0)

@@ -14,6 +14,7 @@ the same state repeatedly against a square matrix.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    NonFiniteCutoff,
     StateSpaceTooLarge,
     StepLimitExceeded,
 )
@@ -135,6 +137,27 @@ class ThresholdPolicy:
 
     def rule_for(self, side: Side) -> ThresholdRule:
         return self.domain_rule if side is Side.DOMAIN else self.range_rule
+
+    def named_rules(self) -> tuple[tuple[str, ThresholdRule], ...]:
+        """The three rules under their names in a model document."""
+        return (
+            ("domain", self.domain_rule),
+            ("range", self.range_rule),
+            ("first_step", self.first_step_rule),
+        )
+
+    def require_finite(self) -> None:
+        """Raise :class:`NonFiniteCutoff` naming the first non-finite cutoff.
+
+        A NaN cutoff compares false everywhere and an infinite one settles
+        every comparison, so such a policy would run without error and
+        return a pattern that means nothing.
+        """
+        for where, rule in self.named_rules():
+            if not math.isfinite(rule.cutoff):
+                raise NonFiniteCutoff(
+                    f"policy.{where}.cutoff: must be finite, got {rule.cutoff!r}"
+                )
 
     def first_step_applies(self, seed: "StateVector", step_index: int) -> bool:
         if step_index != 1 or self.first_step_mode is FirstStepMode.NEVER:
@@ -366,8 +389,13 @@ def step(
 
 
 def _check_run(
-    matrix: SuperMatrix, seed: StateVector, max_steps: int, one_sided: bool
+    matrix: SuperMatrix,
+    seed: StateVector,
+    policy: ThresholdPolicy,
+    max_steps: int,
+    one_sided: bool,
 ) -> None:
+    policy.require_finite()
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
     if one_sided and matrix.n_rows != matrix.n_cols:
@@ -398,7 +426,7 @@ def run_hidden_pattern(
     visit is a fixed point, any longer gap a limit cycle.  Every product is
     the one :func:`step` computes; the trace holds its records.
     """
-    _check_run(matrix, seed, max_steps, one_sided)
+    _check_run(matrix, seed, policy, max_steps, one_sided)
     return _run(matrix, seed, policy, max_steps, one_sided, record_trace)
 
 
@@ -540,7 +568,7 @@ def sweep_unit_seeds(
     side = Side(side)
     part = _side_partition(matrix, side)
     seeds = [unit_seed(i, side, part) for i in range(part.total)]
-    _check_run(matrix, seeds[0], max_steps, one_sided)  # all share one shape
+    _check_run(matrix, seeds[0], policy, max_steps, one_sided)  # all share one shape
     return tuple(
         (i, _run(matrix, seed, policy, max_steps, one_sided, record_trace))
         for i, seed in enumerate(seeds)
@@ -821,6 +849,7 @@ def enumerate_attractors(
     bitmask transitions here) so each checks the other.  Basin sizes sum to
     ``2 ** n``.
     """
+    policy.require_finite()
     side = Side(side)
     part = _side_partition(matrix, side)
     if one_sided and matrix.n_rows != matrix.n_cols:

@@ -51,6 +51,10 @@ class StateSpaceTooLarge(FuzzyMapsError, ValueError):
     pass
 
 
+class NonFiniteCutoff(FuzzyMapsError, ValueError):
+    """A threshold policy handed to the engine has a NaN or infinite cutoff."""
+
+
 class UnknownLabel(FuzzyMapsError, ValueError):
     pass
 

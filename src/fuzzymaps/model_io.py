@@ -9,6 +9,7 @@ LF line endings, no trailing whitespace.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -85,6 +86,23 @@ def _jstr(s: str) -> str:
     return json.dumps(s, ensure_ascii=True)
 
 
+class _Memo(dict):
+    """``memo[x]`` is ``render(x)``, rendered once per distinct ``x``.
+
+    A matrix holds few distinct numbers, so the text of each is computed
+    once and cells look theirs up in C.  ``-0.0`` and ``0.0`` share a key,
+    which is harmless: :func:`_num` renders both as ``0``.
+    """
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, x):
+        text = self[x] = self.render(x)
+        return text
+
+
 def serialize_model(spec: ModelSpec) -> str:
     """Canonical document text for ``spec`` (stable bytes, LF endings)."""
     lines: list[str] = ["{"]
@@ -101,11 +119,10 @@ def serialize_model(spec: ModelSpec) -> str:
             )
         lines.append("  ]},")
     lines.append('  "matrix": [')
-    n_rows = spec.matrix.n_rows
-    for i in range(n_rows):
-        row = spec.matrix.entries[i]
-        comma = "," if i + 1 < n_rows else ""
-        lines.append("    [" + ", ".join(_num(v) for v in row) + "]" + comma)
+    text = _Memo(_num).__getitem__
+    for row in spec.matrix.entries:
+        lines.append("    [" + ", ".join(map(text, row.tolist())) + "],")
+    lines[-1] = lines[-1][:-1]  # no comma after the last row
     lines.append("  ],")
     pol = spec.policy
     lines.append('  "policy": {')
@@ -148,6 +165,28 @@ def _expect(cond: bool, where: str, what: str) -> None:
         raise ModelSchemaError(f"{where}: {what}")
 
 
+def _float(x) -> float:
+    """``float(x)``, reading an integer beyond the float range as ``±inf``.
+
+    Validation then refuses it as it refuses the literal ``1e999``.
+    """
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _loads(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # an integer literal too long for int(): read as a float it is
+        # infinite, which validation refuses as it refuses 1e999
+        return json.loads(text, parse_int=float)
+
+
 def _parse_rule(obj, where: str) -> ThresholdRule:
     _expect(isinstance(obj, dict), where, "expected an object")
     extra = set(obj) - {"cmp", "cutoff"}
@@ -161,7 +200,7 @@ def _parse_rule(obj, where: str) -> ThresholdRule:
         where,
         "cutoff must be a number",
     )
-    return ThresholdRule(Comparator(cmp_val), float(cutoff))
+    return ThresholdRule(Comparator(cmp_val), _float(cutoff))
 
 
 def _parse_label_blocks(obj, where: str) -> tuple[tuple[str, ...], ...]:
@@ -192,7 +231,7 @@ def parse_model(text: str) -> ModelSpec:
     returned spec keeps its diagnostics, so running it validates nothing.
     """
     try:
-        doc = json.loads(text)
+        doc = _loads(text)
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(f"not valid JSON: {e}") from e
     _expect(isinstance(doc, dict), "document", "top level must be an object")
@@ -219,6 +258,9 @@ def parse_model(text: str) -> ModelSpec:
     matrix = doc["matrix"]
     _expect(isinstance(matrix, list) and matrix, "matrix", "must be a non-empty array")
     n_cols = None
+    # json yields int, float, bool, None, str, list or dict; bool is its own
+    # type, so this one C-level pass per row admits exactly the numbers
+    numbers = {int, float}.issuperset
     for i, row in enumerate(matrix):
         loc = f"matrix[{i}]"
         _expect(isinstance(row, list), loc, "each row must be an array")
@@ -229,12 +271,13 @@ def parse_model(text: str) -> ModelSpec:
             loc,
             f"row has {len(row)} entries, expected {n_cols}",
         )
-        for j, v in enumerate(row):
-            _expect(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"matrix[{i}][{j}]",
-                "entries must be numbers",
-            )
+        if not numbers(map(type, row)):
+            for j, v in enumerate(row):
+                _expect(
+                    isinstance(v, (int, float)) and not isinstance(v, bool),
+                    f"matrix[{i}][{j}]",
+                    "entries must be numbers",
+                )
     n_rows = len(matrix)
     row_sizes = tuple(len(b) for b in domain_blocks)
     col_sizes = tuple(len(b) for b in range_blocks)
@@ -285,13 +328,18 @@ def parse_model(text: str) -> ModelSpec:
     description = doc.get("description", "")
     _expect(isinstance(description, str), "description", "must be a string")
 
+    try:
+        entries = np.array(matrix, dtype=float)
+    except OverflowError:
+        entries = np.array([[_float(v) for v in row] for row in matrix])
+
     spec = ModelSpec(
         name=doc["name"],
         kind=kind,
         domain_labels=domain_blocks,
         range_labels=range_blocks,
         matrix=SuperMatrix(
-            np.array(matrix, dtype=float),
+            entries,
             Partition(row_sizes),
             Partition(col_sizes),
         ),
@@ -495,15 +543,15 @@ def emit_dot(spec: ModelSpec) -> str:
             lines.append("  }")
     src_prefix = "n" if spec.one_sided else "d"
     dst_prefix = "n" if spec.one_sided else "r"
-    for i in range(spec.matrix.n_rows):
-        for j in range(spec.matrix.n_cols):
-            w = float(spec.matrix.entries[i, j])
-            if w == 0.0:
-                continue
-            attrs = f"label={_jstr(_num(w))}"
-            if w < 0:
-                attrs += ", style=dashed"
-            lines.append(f"  {src_prefix}{i} -> {dst_prefix}{j} [{attrs}];")
+    attrs = _Memo(
+        lambda w: f"label={_jstr(_num(w))}" + (", style=dashed" if w < 0 else "")
+    )
+    rows, cols = np.nonzero(spec.matrix.entries)
+    weights = spec.matrix.entries[rows, cols]
+    lines.extend(
+        f"  {src_prefix}{i} -> {dst_prefix}{j} [{attrs[w]}];"
+        for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist())
+    )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

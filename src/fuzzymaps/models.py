@@ -178,14 +178,12 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
             )
         )
 
-    for where, rule in (
-        ("policy.domain", spec.policy.domain_rule),
-        ("policy.range", spec.policy.range_rule),
-        ("policy.first_step", spec.policy.first_step_rule),
-    ):
+    for where, rule in spec.policy.named_rules():
         if not math.isfinite(rule.cutoff):
             out.append(
-                Diagnostic("cutoff", where, f"cutoff {rule.cutoff:g} is not finite")
+                Diagnostic(
+                    "cutoff", f"policy.{where}", f"cutoff {rule.cutoff:g} is not finite"
+                )
             )
 
     if spec.kind is ModelKind.FCM:

@@ -55,6 +55,24 @@ class TestValidate:
         assert code == 3
         assert "matrix[1][2]: entry nan outside unrestricted" in err
 
+    @pytest.mark.parametrize("argv", [["validate"], ["run", "--on", "a1"], ["dot"]])
+    @pytest.mark.parametrize("where", ["matrix", "cutoff"])
+    def test_integer_beyond_float_range_is_invalid_model(
+        self, capsys, tmp_path, argv, where
+    ):
+        doc = json.loads(fixture_text("ex_1_2_1"))
+        if where == "matrix":
+            doc["matrix"][0][0] = "HUGE"
+            expected = "matrix[0][0]: entry inf outside"
+        else:
+            doc["policy"]["range"]["cutoff"] = "HUGE"
+            expected = "policy.range: cutoff inf is not finite"
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 400))
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 3
+        assert expected in err
+
     def test_no_input(self, capsys):
         code, out, err = run_cli(capsys, "validate")
         assert code == 2
@@ -312,6 +330,33 @@ class TestDot:
         )
         assert code == 0
         assert target.read_text().startswith("digraph")
+
+
+class TestRepeatedCalls:
+    """One parser serves every main() call; no call leaks into the next."""
+
+    def test_trace_does_not_carry_over(self, capsys):
+        base = ["run", "--fixture", "ex_1_2_1", "--on", "a1", "--json"]
+        code, traced, _ = run_cli(capsys, *base, "--trace")
+        assert code == 0 and "steps" in json.loads(traced)
+        code, plain, _ = run_cli(capsys, *base)
+        assert code == 0 and "steps" not in json.loads(plain)
+
+    def test_threshold_flag_does_not_carry_over(self, capsys):
+        base = ["run", "--fixture", "sec_2_5_fcm", "--on", "R11", "--json"]
+        _, before, _ = run_cli(capsys, *base)
+        _, pinned, _ = run_cli(
+            capsys, *base, "--threshold-domain", "ge:2", "--threshold-range", "ge:2"
+        )
+        _, after, _ = run_cli(capsys, *base)
+        assert json.loads(pinned)["policy"]["domain"]["cutoff"] == 2
+        assert before == after != pinned
+
+    def test_failed_call_does_not_carry_over(self, capsys):
+        code, _, _ = run_cli(capsys, "run", "--fixture", "ex_1_2_1", "--bogus")
+        assert code == 2
+        code, out, _ = run_cli(capsys, "validate", "--fixture", "ex_1_2_1")
+        assert code == 0 and "ok" in out
 
 
 class TestUsage:

@@ -1,11 +1,20 @@
+import hashlib
 import json
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzymaps import (
     FIXTURE_NAMES,
+    ModelSpec,
+    Partition,
     Side,
+    SuperMatrix,
+    ThresholdPolicy,
+    ThresholdRule,
     build_report,
     emit_dot,
     fixture_text,
@@ -23,6 +32,7 @@ from fuzzymaps.errors import (
     ModelValidationError,
     UnknownFixture,
 )
+from fuzzymaps.model_io import _num
 
 # nonzero entry counts of the bundled matrices, counted independently
 FIXTURE_NONZEROS = {
@@ -137,6 +147,39 @@ class TestParseErrors:
         with pytest.raises(ModelValidationError, match=f"policy.{where}"):
             parse_model(text)
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_float_range_entry_is_validation_error(self, sign):
+        text = _with_matrix_literal(2, 1, sign + "1" + "0" * 400)
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(text)
+        assert str(err.value) == (
+            f"entry_domain at matrix[2][1]: entry {sign}inf outside signed_ternary"
+        )
+        # the message 1e999 gets
+        with pytest.raises(ModelValidationError) as same:
+            parse_model(_with_matrix_literal(2, 1, sign + "1e999"))
+        assert str(same.value) == str(err.value)
+
+    def test_integer_too_long_for_int_is_validation_error(self):
+        # longer than the digits Python converts to int by default
+        text = _with_matrix_literal(2, 1, "7" * 5000)
+        with pytest.raises(ModelValidationError, match=r"matrix\[2\]\[1\]: entry inf"):
+            parse_model(text)
+        with pytest.raises(ModelSyntaxError):
+            parse_model(text[:-2])
+
+    @pytest.mark.parametrize("where", ["domain", "range", "first_step"])
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_beyond_float_range_cutoff_is_validation_error(self, where, sign):
+        doc = json.loads(fixture_text("ex_1_2_1"))
+        doc["policy"][where]["cutoff"] = "CUTOFF"
+        text = json.dumps(doc).replace('"CUTOFF"', sign + "9" * 400)
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(text)
+        assert str(err.value) == (
+            f"cutoff at policy.{where}: cutoff {sign}inf is not finite"
+        )
+
     def test_kind_mismatch_is_validation_error(self):
         doc = json.loads(fixture_text("ex_1_2_2"))
         doc["kind"] = "super_row_frm"
@@ -241,3 +284,175 @@ class TestFixtures:
         assert spec.labels_flat(Side.DOMAIN) == tuple(
             f"R{i}" for i in range(1, 19)
         )
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def fuzzy_super_frm(seed: int = 7) -> ModelSpec:
+    """A 9x7 fuzzy super-FRM mixing 0, 1, two-decimal and full-precision entries."""
+    rng = random.Random(seed)
+    rows = [
+        [rng.choice((0, 1, round(rng.random(), 2), rng.random())) for _ in range(7)]
+        for _ in range(9)
+    ]
+    return ModelSpec(
+        name="fuzzy_sfrm",
+        kind="super_frm",
+        domain_labels=(("x1", "x2"), ("x3", "x4", "x5"), ("x6", "x7", "x8", "x9")),
+        range_labels=(("y1", "y2", "y3"), ("y4", "y5", "y6", "y7")),
+        matrix=SuperMatrix(
+            np.array(rows, dtype=float), Partition((2, 3, 4)), Partition((3, 4))
+        ),
+        entry_domain="fuzzy_unit",
+        policy=ThresholdPolicy(ThresholdRule("gt", 0.25), ThresholdRule("ge", 0.5)),
+        description="seeded fuzzy super-FRM",
+    )
+
+
+# sha256 of serialize_model and emit_dot output, recorded with the
+# per-entry implementation both were rewritten from
+PINNED_BYTES = {
+    "ex_1_2_1": (
+        "dc87e2aebb37eaea4786e430e7e8b19327272cd9b496350d6c1d2cb33e02a434",
+        "797ddb94a09856b1163668c99f980328d0772ce0d2ece60a632c5e16c5cdd5f1",
+    ),
+    "ex_1_2_2": (
+        "6bfdb3e1fbbc22772e61e35a6c4c0eb0ed4ed1c3bed49e6bba3844f7a309ea44",
+        "9f0b3c6cfbfa22a4717d522223b5bccecb592b783859c28384b324377cee2213",
+    ),
+    "ex_1_2_3_structure": (
+        "f40cfc6980e8d1bbac841b4e1bc27a430be044b4724516a1645cf764ceabd225",
+        "241b4640f19205e6885d531e7dfc799133e565dc2b49ba96bc19876743596afc",
+    ),
+    "sec_2_2": (
+        "e3cff0f6c16aaa87e8eec9662326687e2f87a4a3f53a554be1adaa2b4edd6cc0",
+        "a853560b3bca88d413e351516b60cc1e9639cc536e6117d48c410b1eaafd177c",
+    ),
+    "sec_2_3": (
+        "92da471a09b357a6da34ef3012ed7165a003646197ccf86f450d8efb5f08a4bb",
+        "1ed987de0150ed39dcc7e44ceff37fc9b2832bb8dc8d70bd30a00f3dd2c1a1cc",
+    ),
+    "sec_2_4": (
+        "e100836b3716e53cec53eedfa08d6a91852fe78eb999e71320fca0b8d40cd081",
+        "159d4d7ca1992a811e21daaa14a5d566d25033e17acf6ec8987f176260e4c613",
+    ),
+    "sec_2_5_fcm": (
+        "ccf9fc44bac537e6fd2d81c8d273d282196dfd03bb0b3021852774ed8145b055",
+        "464f7d2c1561242fbfdf30cd973f1c17afadfe32471267165607c6d15ea67559",
+    ),
+    "fuzzy_super_frm": (
+        "8fdf415771b848b6b407925d055acfeb490abee0e240f1a532510ff8b614defc",
+        "782e992590b93cacbbb9d28b6d5a81f138556b0cf06951386d85fda8cc4eea13",
+    ),
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+    def test_serialize_and_dot_bytes(self, name):
+        spec = fuzzy_super_frm() if name == "fuzzy_super_frm" else load_fixture(name)
+        assert not spec.diagnostics
+        assert (_sha(serialize_model(spec)), _sha(emit_dot(spec))) == PINNED_BYTES[name]
+
+
+# entries that mix integers with floats whose text is easy to get wrong
+_AWKWARD = (
+    -0.0, 0.1 + 0.2, 1e-7, -1e-7, 1e20, -1e20, 2**53 + 1.0, 2.0**63, -(2.0**63),
+    1 - 2**-53, -1 + 2**-53, 1 + 2**-52, -1 - 2**-52, 0.5, 1.0, -1.0,
+)
+_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(_AWKWARD),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _matrices(draw):
+    n_rows = draw(st.integers(1, 6))
+    n_cols = draw(st.integers(1, 6))
+    row = st.lists(_entries, min_size=n_cols, max_size=n_cols)
+    return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
+
+
+class TestGeneratedRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_matrices())
+    def test_canonical_text_round_trips_and_matches_num(self, rows):
+        entries = np.array(rows, dtype=float)
+        n_rows, n_cols = entries.shape
+        spec = ModelSpec(
+            name="generated",
+            kind="frm",
+            domain_labels=(tuple(f"x{i}" for i in range(n_rows)),),
+            range_labels=(tuple(f"y{j}" for j in range(n_cols)),),
+            matrix=SuperMatrix.simple(entries),
+            entry_domain="unrestricted",
+            policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("ge", 0.5)),
+        )
+        doc = serialize_model(spec)
+        assert serialize_model(parse_model(doc)) == doc
+        lines = doc.splitlines()
+        start = lines.index('  "matrix": [') + 1
+        for i in range(n_rows):
+            cells = lines[start + i].strip().rstrip(",")[1:-1].split(", ")
+            assert cells == [_num(v) for v in entries[i]]
+        dot = emit_dot(spec)
+        edges = [ln for ln in dot.splitlines() if " -> " in ln]
+        assert edges == [
+            f"  d{i} -> r{j} [label={json.dumps(_num(w))}"
+            + (", style=dashed" if w < 0 else "") + "];"
+            for i in range(n_rows)
+            for j in range(n_cols)
+            if (w := float(entries[i, j])) != 0.0
+        ]
+
+
+def _with_matrix_literal(row: int, col: int, literal: str) -> str:
+    doc = json.loads(fixture_text("ex_1_2_2"))
+    doc["matrix"][row][col] = "LITERAL"
+    return json.dumps(doc).replace('"LITERAL"', literal)
+
+
+class TestParseMessages:
+    """Messages recorded with the per-entry type check, kept word for word."""
+
+    @pytest.mark.parametrize("row", [0, 7])
+    @pytest.mark.parametrize("literal", ["true", '"1"', "null", "[1]"])
+    def test_non_number_entry(self, row, literal):
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_with_matrix_literal(row, 3, literal))
+        assert str(err.value) == f"matrix[{row}][3]: entries must be numbers"
+
+    def test_first_bad_entry_of_a_row_is_named(self):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["matrix"][4][1] = None
+        doc["matrix"][4][5] = True
+        doc["matrix"][6][0] = "1"
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == "matrix[4][1]: entries must be numbers"
+
+    def test_ragged_row(self):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["matrix"][5] = doc["matrix"][5] + [0]
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == "matrix[5]: row has 7 entries, expected 6"
+
+    def test_ragged_row_reported_before_a_later_bad_entry(self):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["matrix"][5] = doc["matrix"][5] + ["1"]
+        doc["matrix"][9][2] = None
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == "matrix[5]: row has 7 entries, expected 6"
+
+    def test_non_list_row(self):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["matrix"][5] = {"a": 1}
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == "matrix[5]: each row must be an array"

@@ -18,17 +18,26 @@ from fuzzymaps import (
     ThresholdPolicy,
     ThresholdRule,
     describe,
+    enumerate_attractors,
     fixture_text,
     load_fixture,
     parse_model,
     partition_matrix,
+    run_hidden_pattern,
     run_model,
     seed_from_labels,
     serialize_model,
+    sweep_unit_seeds,
     validate_model,
 )
 from fuzzymaps import models
-from fuzzymaps.errors import ModelValidationError, UnknownLabel, WrongSide
+from fuzzymaps.errors import (
+    FuzzyMapsError,
+    ModelValidationError,
+    NonFiniteCutoff,
+    UnknownLabel,
+    WrongSide,
+)
 
 from _util import bits
 
@@ -252,6 +261,52 @@ class TestRunModel:
             ),
         )
         assert plain == overridden
+
+
+_ENTRY_POINTS = {
+    "run_model": lambda spec, policy, seed: run_model(
+        spec, seed, overrides=PolicyOverrides(
+            domain_rule=policy.domain_rule,
+            range_rule=policy.range_rule,
+            first_step_rule=policy.first_step_rule,
+        )
+    ),
+    "run_hidden_pattern": lambda spec, policy, seed: run_hidden_pattern(
+        spec.matrix, seed, policy
+    ),
+    "sweep_unit_seeds": lambda spec, policy, seed: sweep_unit_seeds(
+        spec.matrix, Side.DOMAIN, policy
+    ),
+    "enumerate_attractors": lambda spec, policy, seed: enumerate_attractors(
+        spec.matrix, Side.DOMAIN, policy
+    ),
+}
+
+
+class TestNonFiniteCutoff:
+    """A NaN or infinite cutoff reaching the engine is refused, not run."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+    @pytest.mark.parametrize("where", ["domain", "range", "first_step"])
+    @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf")])
+    def test_refused_at_every_entry_point(self, entry, where, cutoff):
+        spec = load_fixture("sec_2_4")
+        policy = replace(
+            spec.policy, **{f"{where}_rule": ThresholdRule("gt", cutoff)}
+        )
+        seed = seed_from_labels(spec, {"T7"}, Side.DOMAIN)
+        with pytest.raises(NonFiniteCutoff) as err:
+            _ENTRY_POINTS[entry](spec, policy, seed)
+        assert isinstance(err.value, FuzzyMapsError)
+        assert isinstance(err.value, ValueError)
+        assert str(err.value).startswith(f"policy.{where}.cutoff: must be finite")
+
+    def test_finite_override_still_runs(self):
+        spec = load_fixture("sec_2_4")
+        seed = seed_from_labels(spec, {"T7"}, Side.DOMAIN)
+        overrides = PolicyOverrides(range_rule=ThresholdRule("gt", 1e300))
+        d, r = run_model(spec, seed, overrides=overrides).fixed_pair
+        assert r.bits == (0,) * len(r)
 
 
 class TestBlockedModel:
