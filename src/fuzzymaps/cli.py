@@ -12,8 +12,6 @@ import math
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .dynamics import (
     Comparator,
     FirstStepMode,
@@ -319,34 +317,38 @@ def _cmd_attractors(args) -> int:
     cycles = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
     order = sorted(range(len(cycles)), key=lambda k: (-basins[k], cycles[k]))
     periods = census.periods.tolist()
+    # bit i of a mask is the i-th printed digit
+    digits = [format(m, f"0{n}b")[::-1] for m in flat]
     if args.json:
-        # bit i of each state mask, one list per state
-        as_bytes = census.states.astype("<u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(as_bytes, axis=1, count=n, bitorder="little").tolist()
-        payload = {
-            "model": spec.name,
-            "side": side.value,
-            "nodes": n,
-            "total_seeds": census.n_seeds,
-            "attractors": [
-                {
-                    "kind": PatternKind.of_period(periods[k]).value,
-                    "period": periods[k],
-                    "basin_size": basins[k],
-                    "states": bits[bounds[k] : bounds[k + 1]],
-                }
-                for k in order
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args)
+        # what json.dumps(payload, indent=2) wrote for a payload whose states
+        # were lists of bits, built from the columns; each state once
+        bit_sep, sep = ",\n" + " " * 10, ",\n"
+        blocks = [f"        [\n          {bit_sep.join(d)}\n        ]" for d in digits]
+        kinds = [PatternKind.LIMIT_CYCLE.value, PatternKind.FIXED_POINT.value]
+        items = [
+            f'    {{\n      "kind": "{kinds[periods[k] == 1]}",\n'
+            f'      "period": {periods[k]},\n'
+            f'      "basin_size": {basins[k]},\n'
+            f'      "states": [\n{sep.join(blocks[bounds[k] : bounds[k + 1]])}'
+            "\n      ]\n    }"
+            for k in order
+        ]
+        _emit(
+            "{\n"
+            f'  "model": {json.dumps(spec.name)},\n'
+            f'  "side": {json.dumps(side.value)},\n'
+            f'  "nodes": {n},\n'
+            f'  "total_seeds": {census.n_seeds},\n'
+            '  "attractors": [\n' + ",\n".join(items) + "\n  ]\n}\n",
+            args,
+        )
         return EXIT_OK
     lines = [
         f"{spec.name}: {census.n_seeds} seeds on the {side.value} side, "
         f"{len(cycles)} attractors"
     ]
     for k in order:
-        # bit i of a mask is the i-th printed digit
-        states = " -> ".join(format(m, f"0{n}b")[::-1] for m in cycles[k])
+        states = " -> ".join(digits[bounds[k] : bounds[k + 1]])
         shape = "fixed point" if periods[k] == 1 else f"cycle p={periods[k]}"
         lines.append(f"  basin {basins[k]:>7}  {shape:<12} {states}")
     _emit("\n".join(lines) + "\n", args)

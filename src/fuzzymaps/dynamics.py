@@ -192,6 +192,17 @@ class StateVector:
         object.__setattr__(self, "side", Side(self.side))
 
     @classmethod
+    def _trusted(
+        cls, bits: tuple[int, ...], side: Side, partition: Partition
+    ) -> "StateVector":
+        """Build without checks from 0/1 ints, one per partition node."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "bits", bits)
+        object.__setattr__(state, "side", side)
+        object.__setattr__(state, "partition", partition)
+        return state
+
+    @classmethod
     def zeros(cls, side: Side, partition: Partition) -> "StateVector":
         return cls((0,) * partition.total, side, partition)
 
@@ -205,7 +216,7 @@ class StateVector:
             if not 0 <= i < n:
                 raise IndexOutOfRange(f"index {i} out of range for {n} nodes")
             bits[i] = 1
-        return cls(tuple(bits), side, partition)
+        return cls._trusted(tuple(bits), Side(side), partition)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -530,7 +541,9 @@ def _pairs(
     round whose seed-side state closed the cycle.
     """
     def state(bits: np.ndarray, side: Side) -> StateVector:
-        return StateVector(tuple(bits.tolist()), side, _side_partition(matrix, side))
+        return StateVector._trusted(
+            tuple(bits.tolist()), side, _side_partition(matrix, side)
+        )
 
     pairs: list[tuple[StateVector, StateVector]] = []
     for t in range(period):
@@ -715,56 +728,64 @@ class Attractors(Sequence):
         return f"Attractors(<{len(self)} attractors>)"
 
 
-def _brent(
-    table: np.ndarray, start: np.ndarray, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _brent(table: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Brent's cycle detection on ``s -> table[s] | seed`` for every seed.
 
-    Every seed advances in lockstep, so the power-of-two schedule is shared
-    and a seed's period is the step count at which its hare meets its
-    tortoise.  Resolved seeds are dropped as they finish, so the work is
-    proportional to the seeds' own path lengths.  Returns each seed's period
-    and a state on its cycle.
+    ``walk`` has one column per seed: the seed, its first state and a row
+    for the hare.  Every seed advances in lockstep, so the power-of-two
+    schedule is shared and a seed's period is the step count at which its
+    hare meets its tortoise.  Resolved seeds are dropped as they finish, one
+    copy of the compacted block per step, so the work is proportional to the
+    seeds' own path lengths.  Returns each seed's period and a state on its
+    cycle.
     """
+    seeds, tortoise, hare = walk
     period = np.empty_like(seeds)
     meet = np.empty_like(seeds)
-    live = seeds
-    tortoise = start
-    hare = np.take(table, start, mode="clip")
-    hare |= live
+    resolved = np.empty(seeds.shape[0], dtype=bool)
+    np.take(table, tortoise, out=hare, mode="clip")
+    hare |= seeds
     power = lam = 1
-    while live.shape[0]:
-        done = tortoise == hare
+    while walk.shape[1]:
+        done = np.equal(tortoise, hare, out=resolved[: walk.shape[1]])
         if done.any():
-            finished = live[done]
+            # index arrays, not boolean masks: on scattered masks they are
+            # several times faster
+            at = np.flatnonzero(done)
+            finished = seeds[at]
             period[finished] = lam
-            meet[finished] = hare[done]
-            keep = ~done
-            live, tortoise, hare = live[keep], tortoise[keep], hare[keep]
+            meet[finished] = hare[at]
+            walk = walk.compress(~done, axis=1)
+            seeds, tortoise, hare = walk
         if power == lam:
-            tortoise = hare.copy()
+            tortoise[:] = hare
             power *= 2
             lam = 0
         np.take(table, hare, out=hare, mode="clip")
-        hare |= live
+        hare |= seeds
         lam += 1
     return period, meet
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
-    """Row ``s`` of the result sums ``rows[i]`` over the set bits ``i`` of ``s``."""
-    out = np.zeros((1 << rows.shape[0], rows.shape[1]))
+    """Column ``s`` of the result sums ``rows[i]`` over the set bits ``i`` of
+    ``s``, adding them in increasing ``i``."""
+    out = np.zeros((rows.shape[1], 1 << rows.shape[0]))
     for i, row in enumerate(rows):
-        np.add(out[: 1 << i], row, out=out[1 << i : 2 << i])
+        np.add(out[:, : 1 << i], row[:, None], out=out[:, 1 << i : 2 << i])
     return out
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """The bitmask of each 0/1 row: column ``i`` becomes bit ``i``."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    words = np.zeros((bits.shape[0], 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view("<i8")[:, 0]
+def _pack(
+    columns: Iterable[np.ndarray], rule: ThresholdRule, out: np.ndarray
+) -> None:
+    """Set bit ``j`` of ``out[s]`` iff ``rule`` holds for ``columns[j][s]``."""
+    out[...] = 0
+    hit = np.empty_like(out)
+    for j, column in enumerate(columns):
+        rule.compare(column, rule.cutoff, out=hit)
+        np.left_shift(hit, j, out=hit)
+        out |= hit
 
 
 class _RoundMap:
@@ -772,10 +793,14 @@ class _RoundMap:
 
     A round's first product is linear in the seed bits, so its raw sums for
     mask ``s`` are ``low[s & (2**k - 1)] + high[s >> k]``: the sums over the
-    low ``k`` bits and over the rest, each tabulated once.  A chunk of
-    ``2 ** k`` consecutive masks then costs one add, one threshold and a
-    bit pack; a two-sided round adds the product back to the seed side.
-    Sums of integer entries are exact in any order.
+    low ``k`` bits and over the rest, each tabulated once, one row per
+    product column.  A chunk of ``2 ** k`` consecutive masks then costs, per
+    column, one add, one threshold, one shift and one OR into the chunk's
+    bitmasks, with no float block of the whole chunk.  A two-sided round
+    thresholds into a 0/1 block, one row per mask, and multiplies it back to
+    the seed side (``bits @ grid_t``, as the block has always been
+    multiplied).  Sums of integer entries are exact in any order; on fuzzy
+    entries each column adds the same two floats as before.
     """
 
     def __init__(
@@ -791,7 +816,7 @@ class _RoundMap:
             if one_sided or side is Side.DOMAIN
             else matrix.entries.T
         )
-        self.n = grid.shape[0]
+        self.n, self.width = grid.shape
         self.k = min(self.n, _LOW_BITS)
         self.low = _subset_sums(grid[: self.k])
         self.high = _subset_sums(grid[self.k :])
@@ -801,28 +826,44 @@ class _RoundMap:
             self.rule = policy.rule_for(side.opposite)
             self.back = (grid.T, policy.rule_for(side))
 
-    def _next(self, raw: np.ndarray, first_rule: Optional[ThresholdRule]):
-        bits = (first_rule or self.rule).apply(raw)
+    def _next(
+        self,
+        sums: Iterable[np.ndarray],
+        first_rule: Optional[ThresholdRule],
+        out: np.ndarray,
+    ) -> None:
+        """Write each mask's next state to ``out``, from the raw sums of the
+        round's first product, which ``sums`` yields one column at a time."""
+        rule = first_rule or self.rule
         if self.back is not None:
+            bits = np.empty((out.shape[0], self.width), dtype=bool)
+            for j, column in enumerate(sums):
+                rule.compare(column, rule.cutoff, out=bits[:, j])
             grid_t, rule = self.back
-            bits = rule.apply(bits @ grid_t)
-        return _pack(bits)
+            sums = (bits.view(np.uint8) @ grid_t).T
+        _pack(sums, rule, out)
 
-    def table(self, first_rule: Optional[ThresholdRule], dtype) -> np.ndarray:
-        """Next state of every mask; ``first_rule`` replaces the round's
-        first threshold when given."""
-        out = np.empty(1 << self.n, dtype=dtype)
+    def fill(self, first_rule: Optional[ThresholdRule], out: np.ndarray) -> None:
+        """Write the next state of every mask to ``out``; ``first_rule``
+        replaces the round's first threshold when given."""
         size = 1 << self.k
-        for h, high in enumerate(self.high):
-            out[h * size : (h + 1) * size] = self._next(self.low + high, first_rule)
-        return out
+        raw = np.empty(size)
+        for h, chunk in enumerate(np.split(out, self.high.shape[1])):
+            sums = (
+                np.add(low, high, out=raw)
+                for low, high in zip(self.low, self.high[:, h])
+            )
+            self._next(sums, first_rule, chunk)
 
     def of(
         self, masks: np.ndarray, first_rule: Optional[ThresholdRule]
     ) -> np.ndarray:
-        """Next state of each mask in ``masks``, as :meth:`table`."""
-        raw = self.low[masks & ((1 << self.k) - 1)] + self.high[masks >> self.k]
-        return self._next(raw, first_rule)
+        """Next state of each mask in ``masks``, as :meth:`fill`."""
+        low, high = masks & ((1 << self.k) - 1), masks >> self.k
+        out = np.empty_like(masks)
+        sums = (a[low] + b[high] for a, b in zip(self.low, self.high))
+        self._next(sums, first_rule, out)
+        return out
 
 
 def enumerate_attractors(
@@ -834,15 +875,20 @@ def enumerate_attractors(
 ) -> AttractorCensus:
     """Run every possible seed on ``side`` and group outcomes by attractor.
 
-    One round of the map is tabulated for every seed-side bitmask; a seed
-    then moves ``s -> table[s] | seed``.  All ``2 ** n`` seeds walk at once:
-    Brent's method finds each seed's period and a state on its cycle, one
-    more walk of that period lists the cycle, and seeds are grouped by the
-    full cycle rotated to its minimum state (two cycles may share a
-    minimum).  Attractors are numbered in the order of their smallest seed.
-    The walk holds a few ``2 ** n`` integer arrays (32-bit below 31 nodes),
-    and the census it returns is columnar: no Python object is built per
-    seed or per attractor until :attr:`AttractorCensus.attractors` is read.
+    One round of the map is tabulated for every seed-side bitmask, one
+    product column at a time; a seed then moves ``s -> table[s] | seed``.
+    All ``2 ** n`` seeds walk at once: Brent's method finds each seed's
+    period and a state on its cycle.  Nothing is sorted over all seeds: a
+    fixed point is keyed by its state, and the few seeds on longer cycles
+    walk their cycle once, rotate it to its minimum state and are grouped by
+    the whole rotation (two cycles may share a minimum), each group keyed
+    past the last state.  Attractors are numbered in the order of their
+    smallest seed, found per key by a scatter-minimum and counted off in
+    seed order.  States are 32-bit below 31 nodes; the peak, while Brent's
+    walk drops its first resolved seeds, is about 42 bytes per seed, beside
+    the float sums over the low 16 seed bits (512 KiB per product column).
+    The census it returns is columnar: no Python object is built per seed or
+    per attractor until :attr:`AttractorCensus.attractors` is read.
 
     Trajectories agree bit for bit with :func:`run_hidden_pattern`; the two
     paths are implemented independently (vector arithmetic there, tabulated
@@ -855,73 +901,85 @@ def enumerate_attractors(
     if one_sided and matrix.n_rows != matrix.n_cols:
         raise DimensionMismatch("one-sided enumeration needs a square matrix")
     n = part.total
-    if (1 << n) > state_limit:
+    n_seeds = 1 << n
+    if n_seeds > state_limit:
         raise StateSpaceTooLarge(
-            f"2^{n} = {1 << n} seeds exceed the limit of {state_limit}"
+            f"2^{n} = {n_seeds} seeds exceed the limit of {state_limit}"
         )
     dtype = np.int32 if n < 31 else np.int64
     rounds = _RoundMap(matrix, side, policy, one_sided)
-    table = rounds.table(None, dtype)
+    table = np.empty(n_seeds, dtype=dtype)
+    rounds.fill(None, table)
+    walk = np.empty((3, n_seeds), dtype=dtype)
+    seeds, start = walk[0], walk[1]
+    seeds[:] = np.arange(n_seeds, dtype=dtype)
     mode = policy.first_step_mode
     if mode is FirstStepMode.ALWAYS:
-        start = rounds.table(policy.first_step_rule, dtype)
+        rounds.fill(policy.first_step_rule, start)
+        start |= seeds
     else:
-        start = table.copy()
-    seeds = np.arange(1 << n, dtype=dtype)
-    start |= seeds
+        np.bitwise_or(table, seeds, out=start)
     if mode is FirstStepMode.AUTO:
         units = np.left_shift(1, np.arange(n, dtype=dtype))
         start[units] = rounds.of(units, policy.first_step_rule) | units
-    del rounds
-    period, meet = _brent(table, start, seeds)
-    del start, seeds
+    del rounds, seeds, start
+    period, meet = _brent(table, walk)
+    del walk
 
-    # group seeds of one period by their cycle, rotated to its minimum state
-    groups = []
-    for p in np.unique(period).tolist():
-        members = np.flatnonzero(period == p).astype(dtype)
+    # A fixed point's key is its state.  Seeds on longer cycles walk their
+    # cycle, rotated to its minimum state; equal rotations of one period
+    # form a group, whose key follows the states and earlier groups.
+    on_cycle = np.flatnonzero(period != 1)
+    lengths = period[on_cycle]
+    del period
+    cycles = []  # (period, one rotated cycle per group), in key order
+    key = n_seeds
+    for p in np.flatnonzero(np.bincount(lengths)).tolist():
+        members = on_cycle[lengths == p].astype(dtype)
         cycle = np.empty((p, members.shape[0]), dtype=dtype)
         cycle[0] = meet[members]
         for t in range(1, p):
             np.take(table, cycle[t - 1], out=cycle[t], mode="clip")
             cycle[t] |= members
-        if p == 1:
-            # a 1-D unique is several times faster than one over rows
-            cycles, first, inverse = np.unique(
-                cycle[0], return_index=True, return_inverse=True
-            )
-            cycles = cycles[:, None]
-        else:
-            shift = cycle.argmin(axis=0) + np.arange(p)[:, None]
-            rows = np.take_along_axis(cycle, shift % p, axis=0).T
-            cycles, first, inverse = np.unique(
-                rows, axis=0, return_index=True, return_inverse=True
-            )
-        groups.append((cycles, members[first], members, inverse.reshape(-1)))
-    del table, period, meet
+        shift = cycle.argmin(axis=0) + np.arange(p)[:, None]
+        rows = np.take_along_axis(cycle, shift % p, axis=0).T
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        new = np.ones(rows.shape[0], dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        meet[members[order]] = key + np.cumsum(new, dtype=dtype) - 1
+        cycles.append((p, rows[new]))
+        key += cycles[-1][1].shape[0]
+    del table, on_cycle, lengths
 
-    # number attractors in the order of their smallest seed
-    order = np.argsort(np.concatenate([g[1] for g in groups]))
-    number = np.empty_like(order)
-    number[order] = np.arange(order.shape[0])
-    assignment = np.empty(1 << n, dtype=np.int64)
-    offset = 0
-    for cycles, _, members, inverse in groups:
-        k = cycles.shape[0]
-        assignment[members] = number[offset : offset + k][inverse]
-        offset += k
+    # number the keys in the order of their smallest seed, then map seeds
+    first = np.full(key, n_seeds, dtype=np.int64)
+    np.minimum.at(first, meet, np.arange(n_seeds, dtype=np.int64))
+    used = np.flatnonzero(first < n_seeds)  # fixed states, then every group
+    firsts = first[used]
+    mark = np.zeros(n_seeds, dtype=bool)
+    mark[firsts] = True
+    number = np.cumsum(mark, dtype=dtype)[firsts] - 1
+    first[used] = number
+    assignment = first[meet]
+    del first, mark, meet
 
     # lay the cycles out flat in attractor order
-    unordered = np.concatenate(
-        [np.full(c.shape[0], c.shape[1], dtype=np.int64) for c, *_ in groups]
+    n_fixed = int(np.searchsorted(used, n_seeds))
+    periods = np.ones(used.shape[0], dtype=np.int64)
+    periods[number[n_fixed:]] = np.repeat(
+        [p for p, _ in cycles], [rows.shape[0] for _, rows in cycles]
     )
-    periods = unordered[order]
-    offsets = np.zeros(order.shape[0] + 1, dtype=np.int64)
+    offsets = np.zeros(used.shape[0] + 1, dtype=np.int64)
     np.cumsum(periods, out=offsets[1:])
-    starts = (np.cumsum(unordered) - unordered)[order]
-    flat = np.concatenate([c.ravel() for c, *_ in groups]).astype(np.int64)
-    states = flat[np.repeat(starts - offsets[:-1], periods) + np.arange(offsets[-1])]
-    basins = np.bincount(assignment, minlength=order.shape[0])
+    states = np.empty(offsets[-1], dtype=np.int64)
+    states[offsets[number[:n_fixed]]] = used[:n_fixed]
+    at = n_fixed
+    for p, rows in cycles:
+        starts = offsets[number[at : at + rows.shape[0]]]
+        states[starts[:, None] + np.arange(p)] = rows
+        at += rows.shape[0]
+    basins = np.bincount(assignment, minlength=used.shape[0])
     for column in (periods, basins, states, offsets, assignment):
         column.flags.writeable = False
     return AttractorCensus(

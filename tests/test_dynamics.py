@@ -1,8 +1,13 @@
+import itertools
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzymaps import (
@@ -172,6 +177,33 @@ class TestUpdate:
     def test_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             apply_update(bits("10"), [5])
+
+
+class TestStateVector:
+    def test_rejects_bits_other_than_zero_and_one(self):
+        with pytest.raises(ValueError):
+            StateVector((0, 2), Side.DOMAIN, Partition([2]))
+
+    def test_rejects_a_length_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            StateVector((0, 1, 1), Side.DOMAIN, Partition([2]))
+
+    def test_engine_built_states_equal_checked_ones(self):
+        # from_on_indices and the engine's pairs skip the bit checks
+        part = Partition([2, 3])
+        built = StateVector.from_on_indices([4, 0], "range", part)
+        checked = StateVector((1, 0, 0, 0, 1), Side.RANGE, part)
+        assert built == checked and hash(built) == hash(checked)
+        assert built.side is Side.RANGE
+        assert all(type(b) is int for b in built.bits)
+        with pytest.raises(IndexOutOfRange):
+            StateVector.from_on_indices([5], Side.RANGE, part)
+        seed = seed_state(0b10110, Side.RANGE, EXPERTS_12X6.col_partition)
+        hp = run_hidden_pattern(EXPERTS_12X6, seed, GT0_POLICY)
+        for pair in hp.pair_sequence:
+            for state in pair:
+                assert all(type(b) is int for b in state.bits)
+                assert state == StateVector(state.bits, state.side, state.partition)
 
 
 class TestStep:
@@ -603,6 +635,175 @@ class TestEnumeration:
             enumerate_attractors(
                 EXPERTS_12X6, Side.DOMAIN, GT0_POLICY, state_limit=census_limit
             )
+
+    def test_matches_reference_across_the_chunk_boundary(self):
+        # 17 fuzzy nodes: two table chunks of 2**16 masks, each from the
+        # sums over the low 16 seed bits plus those over bit 16
+        rng = np.random.default_rng(1717)
+        m = SuperMatrix.simple(rng.choice(FUZZY, size=(17, 17)))
+        policy = ThresholdPolicy(
+            ThresholdRule(Comparator.GT, 0.1 + 0.2),
+            ThresholdRule(Comparator.GT, 0.1 + 0.2),
+            ThresholdRule(Comparator.GE, 0.3),
+            FirstStepMode.ALWAYS,
+        )
+        census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+        expected = _reference_census(m, Side.DOMAIN, policy, True)
+        _assert_census_is(census, *expected)
+        # limit cycles of many periods, some sharing their minimum state
+        cycles = [c for c in expected[0] if len(c) > 1]
+        assert len({len(c) for c in cycles}) > 5
+        assert len({(len(c), c[0]) for c in cycles}) < len(cycles)
+
+    def test_peak_memory_of_a_2_18_census(self):
+        # no float block of a whole table chunk, no copy of the seeds or
+        # start states beside the walk
+        spec = load_fixture("sec_2_5_fcm")
+
+        def census():
+            return enumerate_attractors(
+                spec.matrix, Side.DOMAIN, spec.policy, one_sided=True
+            )
+
+        census()  # the first call may set up numpy's own state
+        tracemalloc.start()
+        try:
+            census()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20
+
+    def test_census_never_imports_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, about 1 MB of
+        # resident memory that no part of the package uses
+        script = (
+            "import contextlib, io, sys\n"
+            "import fuzzymaps, fuzzymaps.cli\n"
+            "m = fuzzymaps.SuperMatrix.simple("
+            "[[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]])\n"
+            "rule = fuzzymaps.ThresholdRule('gt', 0)\n"
+            "policy = fuzzymaps.ThresholdPolicy(rule, rule)\n"
+            "census = fuzzymaps.enumerate_attractors(m, 'domain', policy, "
+            "one_sided=True)\n"
+            "assert (census.periods == 2).any()\n"
+            "argv = ['attractors', '--json', '--fixture', 'sec_2_4', "
+            "'--side', 'domain']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert fuzzymaps.cli.main(argv) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+
+FUZZY = (0.0, 0.1, 0.2, 0.3, -0.1, -0.2, -0.3)
+TERNARY = (-1.0, 0.0, 1.0)
+# cutoffs on sums of those entries, 0.1 + 0.2 and 0.6 among them: which side
+# of such a cutoff a sum falls on depends on the order of its additions
+CUTOFFS = (0.0, 1.0, 2.0, 0.3, 0.1 + 0.2, 0.6, 0.5, -0.1)
+
+
+def _reference_census(m, side, policy, one_sided):
+    """The census computed the plain way: (cycles, assignment).
+
+    A round's first raw sums add the seed-side rows of the set bits in
+    increasing order, those below bit 16 and those above separately, then
+    the two parts; a two-sided round adds the opposite side's columns back
+    the same way.  Each seed walks until a state repeats; its cycle, rotated
+    to its minimum state, is looked up in a dict whose insertion order
+    numbers the attractors by their smallest seed.
+    """
+    grid = m.entries if one_sided or side is Side.DOMAIN else m.entries.T
+    n, width = grid.shape
+    masks = np.arange(1 << n)
+    low, high = np.zeros((1 << n, width)), np.zeros((1 << n, width))
+    for i in range(n):
+        (low if i < 16 else high)[(masks >> i) & 1 == 1] += grid[i]
+    raw = low + high
+
+    def round_table(rule):
+        bits = rule.compare(raw, rule.cutoff)
+        if not one_sided:
+            back_rule = policy.rule_for(side)
+            back = np.zeros((1 << n, n))
+            for j in range(width):
+                back[bits[:, j]] += grid[:, j]
+            bits = back_rule.compare(back, back_rule.cutoff)
+        return (bits.astype(np.int64) << np.arange(n)).sum(axis=1).tolist()
+
+    table = round_table(policy.rule_for(side if one_sided else side.opposite))
+    first = round_table(policy.first_step_rule)
+    mode = policy.first_step_mode
+    cycles: dict = {}
+    assignment = []
+    for s in range(1 << n):
+        takes_first = mode is FirstStepMode.ALWAYS or (
+            mode is FirstStepMode.AUTO and bin(s).count("1") == 1
+        )
+        x = (first if takes_first else table)[s] | s
+        seen: dict = {}
+        while x not in seen:
+            seen[x] = len(seen)
+            x = table[x] | s
+        cycle = list(seen)[seen[x] :]
+        assignment.append(cycles.setdefault(canonical(tuple(cycle)), len(cycles)))
+    return list(cycles), assignment
+
+
+def _assert_census_is(census, cycles, assignment):
+    periods = [len(c) for c in cycles]
+    assert census.periods.tolist() == periods
+    assert census.states.tolist() == [s for c in cycles for s in c]
+    assert census.offsets.tolist() == [0, *itertools.accumulate(periods)]
+    assert census.assignment.tolist() == assignment
+    assert census.basins.tolist() == np.bincount(assignment).tolist()
+    for column in census._columns():
+        assert column.dtype == np.int64
+
+
+@st.composite
+def census_cases(draw):
+    one_sided = draw(st.booleans())
+    rows = draw(st.integers(1, 10))
+    cols = rows if one_sided else draw(st.integers(1, 10))
+    values = draw(st.sampled_from([TERNARY, FUZZY]))
+    entries = draw(
+        st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols)
+    )
+    rule = st.builds(
+        ThresholdRule, st.sampled_from(list(Comparator)), st.sampled_from(CUTOFFS)
+    )
+    policy = ThresholdPolicy(
+        draw(rule), draw(rule), draw(rule), draw(st.sampled_from(list(FirstStepMode)))
+    )
+    side = draw(st.sampled_from(list(Side)))
+    m = SuperMatrix.simple(np.array(entries).reshape(rows, cols))
+    return m, side, policy, one_sided
+
+
+@given(census_cases())
+@example(
+    (
+        SuperMatrix.simple(
+            [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
+        ),
+        Side.DOMAIN,
+        GT0_POLICY,
+        True,
+    )
+)  # period-2 cycles (11, 13) and (11, 15) share their minimum
+@settings(max_examples=150, deadline=None)
+def test_census_matches_reference(case):
+    m, side, policy, one_sided = case
+    census = enumerate_attractors(m, side, policy, one_sided=one_sided)
+    _assert_census_is(census, *_reference_census(m, side, policy, one_sided))
 
 
 # --- randomized invariants ---------------------------------------------------
