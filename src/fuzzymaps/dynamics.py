@@ -591,6 +591,7 @@ def sweep_unit_seeds(
 # --- exhaustive enumeration ------------------------------------------------
 
 _LOW_BITS = 16  # seed bits tabulated per block; 2**16 masks per table chunk
+_CHUNK = 1 << 16  # seeds per step of _brent's in-place compaction
 
 
 @dataclass(frozen=True)
@@ -734,37 +735,72 @@ def _brent(table: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ``walk`` has one column per seed: the seed, its first state and a row
     for the hare.  Every seed advances in lockstep, so the power-of-two
     schedule is shared and a seed's period is the step count at which its
-    hare meets its tortoise.  Resolved seeds are dropped as they finish, one
-    copy of the compacted block per step, so the work is proportional to the
-    seeds' own path lengths.  Returns each seed's period and a state on its
+    hare meets its tortoise.  Resolved seeds are dropped as they finish and
+    the live columns are compacted to the front of ``walk`` in place, so
+    the work is proportional to the seeds' own path lengths and no second
+    block is allocated.  Returns each seed's period and a state on its
     cycle.
     """
     seeds, tortoise, hare = walk
     period = np.empty_like(seeds)
     meet = np.empty_like(seeds)
     resolved = np.empty(seeds.shape[0], dtype=bool)
-    np.take(table, tortoise, out=hare, mode="clip")
-    hare |= seeds
+    _step(table, tortoise, seeds, hare)
     power = lam = 1
-    while walk.shape[1]:
-        done = np.equal(tortoise, hare, out=resolved[: walk.shape[1]])
+    live = walk.shape[1]
+    while live:
+        done = np.equal(tortoise, hare, out=resolved[:live])
         if done.any():
-            # index arrays, not boolean masks: on scattered masks they are
-            # several times faster
-            at = np.flatnonzero(done)
-            finished = seeds[at]
-            period[finished] = lam
-            meet[finished] = hare[at]
-            walk = walk.compress(~done, axis=1)
-            seeds, tortoise, hare = walk
+            live = _settle(walk, done, lam, period, meet)
+            seeds, tortoise, hare = walk[:, :live]
         if power == lam:
             tortoise[:] = hare
             power *= 2
             lam = 0
-        np.take(table, hare, out=hare, mode="clip")
-        hare |= seeds
+        _step(table, hare, seeds, hare)
         lam += 1
     return period, meet
+
+
+def _step(
+    table: np.ndarray, states: np.ndarray, seeds: np.ndarray, out: np.ndarray
+) -> None:
+    """``out = table[states] | seeds``, a chunk at a time: ``np.take``
+    first copies 32-bit indices to 64 bits, which over the whole walk would
+    be 8 more bytes per seed."""
+    for a in range(0, states.shape[0], _CHUNK):
+        b = a + _CHUNK
+        np.take(table, states[a:b], out=out[a:b], mode="clip")
+        out[a:b] |= seeds[a:b]
+
+
+def _settle(
+    walk: np.ndarray,
+    done: np.ndarray,
+    lam: int,
+    period: np.ndarray,
+    meet: np.ndarray,
+) -> int:
+    """Record period ``lam`` and the hare of each resolved seed among the
+    first ``len(done)`` columns of ``walk``, and move the unresolved ones, in
+    order, to its front; returns their count.
+
+    Done a chunk of columns at a time, so the index arrays and copies are
+    chunk-sized; each chunk's columns land at or before where they were
+    read.  Index arrays, not boolean masks: on scattered masks they are
+    several times faster.
+    """
+    kept = 0
+    for a in range(0, done.shape[0], _CHUNK):
+        part = done[a : a + _CHUNK]
+        at = np.flatnonzero(part) + a
+        finished = walk[0, at]
+        period[finished] = lam
+        meet[finished] = walk[2, at]
+        stay = np.flatnonzero(~part) + a
+        walk[:, kept : kept + stay.shape[0]] = walk[:, stay]
+        kept += stay.shape[0]
+    return kept
 
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
@@ -884,11 +920,12 @@ def enumerate_attractors(
     the whole rotation (two cycles may share a minimum), each group keyed
     past the last state.  Attractors are numbered in the order of their
     smallest seed, found per key by a scatter-minimum and counted off in
-    seed order.  States are 32-bit below 31 nodes; the peak, while Brent's
-    walk drops its first resolved seeds, is about 42 bytes per seed, beside
-    the float sums over the low 16 seed bits (512 KiB per product column).
-    The census it returns is columnar: no Python object is built per seed or
-    per attractor until :attr:`AttractorCensus.attractors` is read.
+    seed order.  States are 32-bit below 31 nodes, and the walk compacts in
+    place: about 25 bytes per seed while Brent's method runs, beside the
+    float sums over the low 16 seed bits (512 KiB per product column); seeds
+    on limit cycles add their cycles while they are grouped.  The census it
+    returns is columnar: no Python object is built per seed or per attractor
+    until :attr:`AttractorCensus.attractors` is read.
 
     Trajectories agree bit for bit with :func:`run_hidden_pattern`; the two
     paths are implemented independently (vector arithmetic there, tabulated
@@ -912,17 +949,18 @@ def enumerate_attractors(
     rounds.fill(None, table)
     walk = np.empty((3, n_seeds), dtype=dtype)
     seeds, start = walk[0], walk[1]
-    seeds[:] = np.arange(n_seeds, dtype=dtype)
     mode = policy.first_step_mode
     if mode is FirstStepMode.ALWAYS:
         rounds.fill(policy.first_step_rule, start)
-        start |= seeds
     else:
-        np.bitwise_or(table, seeds, out=start)
+        start[:] = table
     if mode is FirstStepMode.AUTO:
         units = np.left_shift(1, np.arange(n, dtype=dtype))
-        start[units] = rounds.of(units, policy.first_step_rule) | units
-    del rounds, seeds, start
+        start[units] = rounds.of(units, policy.first_step_rule)
+    del rounds
+    seeds[:] = np.arange(n_seeds, dtype=dtype)
+    start |= seeds
+    del seeds, start
     period, meet = _brent(table, walk)
     del walk
 
