@@ -787,8 +787,8 @@ def _settle(
 
     Done a chunk of columns at a time, so the index arrays and copies are
     chunk-sized; each chunk's columns land at or before where they were
-    read.  Index arrays, not boolean masks: on scattered masks they are
-    several times faster.
+    read.  Index arrays and ``take``, not boolean masks or ``walk[:, i]``:
+    on scattered seeds they are several times faster.
     """
     kept = 0
     for a in range(0, done.shape[0], _CHUNK):
@@ -798,7 +798,7 @@ def _settle(
         period[finished] = lam
         meet[finished] = walk[2, at]
         stay = np.flatnonzero(~part) + a
-        walk[:, kept : kept + stay.shape[0]] = walk[:, stay]
+        walk[:, kept : kept + stay.shape[0]] = walk.take(stay, axis=1)
         kept += stay.shape[0]
     return kept
 
