@@ -834,9 +834,10 @@ class _RoundMap:
     column, one add, one threshold, one shift and one OR into the chunk's
     bitmasks, with no float block of the whole chunk.  A two-sided round
     thresholds into a 0/1 block, one row per mask, and multiplies it back to
-    the seed side (``bits @ grid_t``, as the block has always been
-    multiplied).  Sums of integer entries are exact in any order; on fuzzy
-    entries each column adds the same two floats as before.
+    the seed side as ``bits @ grid_t``.  Sums of integer entries are exact
+    in any order; on fuzzy entries the order is part of the result, so each
+    low-bit sum adds its rows in increasing order and each raw sum adds the
+    low part to the high part once.
     """
 
     def __init__(
@@ -852,8 +853,8 @@ class _RoundMap:
             if one_sided or side is Side.DOMAIN
             else matrix.entries.T
         )
-        self.n, self.width = grid.shape
-        self.k = min(self.n, _LOW_BITS)
+        n, self.width = grid.shape
+        self.k = min(n, _LOW_BITS)
         self.low = _subset_sums(grid[: self.k])
         self.high = _subset_sums(grid[self.k :])
         if one_sided:
@@ -957,7 +958,7 @@ def enumerate_attractors(
     if mode is FirstStepMode.AUTO:
         units = np.left_shift(1, np.arange(n, dtype=dtype))
         start[units] = rounds.of(units, policy.first_step_rule)
-    del rounds
+    del rounds  # before the seed row's 2^n temporary
     seeds[:] = np.arange(n_seeds, dtype=dtype)
     start |= seeds
     del seeds, start
