@@ -20,7 +20,6 @@ from .dynamics import (
     StateVector,
     ThresholdRule,
     enumerate_attractors,
-    run_hidden_pattern,
     sweep_unit_seeds,
     DEFAULT_MAX_STEPS,
 )
@@ -49,6 +48,7 @@ from .models import (  # noqa: F401
     ModelSpec,
     PolicyOverrides,
     describe,
+    run_model,
     validate_model,
 )
 
@@ -57,6 +57,9 @@ EXIT_USAGE = 2
 EXIT_INVALID_MODEL = 3
 EXIT_RESOURCE = 4
 
+_CMPS = tuple(c.value for c in Comparator)
+_MODES = tuple(m.value for m in FirstStepMode)
+
 
 class _UsageError(Exception):
     pass
@@ -64,7 +67,7 @@ class _UsageError(Exception):
 
 def _parse_rule_arg(text: str, flag: str) -> ThresholdRule:
     parts = text.split(":")
-    if len(parts) != 2 or parts[0] not in ("ge", "gt"):
+    if len(parts) != 2 or parts[0] not in _CMPS:
         raise _UsageError(
             f"{flag} expects cmp:cutoff with cmp in {{ge,gt}}, got {text!r}"
         )
@@ -77,7 +80,7 @@ def _parse_rule_arg(text: str, flag: str) -> ThresholdRule:
     return ThresholdRule(Comparator(parts[0]), cutoff)
 
 
-def _build_overrides(args) -> Optional[PolicyOverrides]:
+def _build_overrides(args) -> PolicyOverrides:
     domain_rule = range_rule = first_rule = None
     first_mode = None
     if getattr(args, "threshold_domain", None):
@@ -86,14 +89,12 @@ def _build_overrides(args) -> Optional[PolicyOverrides]:
         range_rule = _parse_rule_arg(args.threshold_range, "--threshold-range")
     fs = getattr(args, "first_step", None)
     if fs:
-        if fs in ("auto", "never", "always"):
+        if fs in _MODES:
             first_mode = FirstStepMode(fs)
         else:
             # an explicit rule pins the first product unconditionally
             first_rule = _parse_rule_arg(fs, "--first-step")
             first_mode = FirstStepMode.ALWAYS
-    if not any((domain_rule, range_rule, first_rule, first_mode)):
-        return None
     return PolicyOverrides(
         domain_rule=domain_rule,
         range_rule=range_rule,
@@ -113,6 +114,8 @@ def _load_spec(args) -> ModelSpec:
                 text = fh.read()
         except OSError as e:
             raise _UsageError(f"cannot read model: {e}")
+        except UnicodeDecodeError as e:
+            raise ModelSyntaxError(f"not valid UTF-8: {e}") from e
     else:
         raise _UsageError("no model given; pass a path or --fixture NAME")
     return parse_model(text)
@@ -130,7 +133,7 @@ def _resolve_tokens(
             out.append(index[tok])
             continue
         qualified = tok.split(".")
-        if len(qualified) == 2 and all(p.isdigit() for p in qualified):
+        if len(qualified) == 2 and all(p.isdecimal() for p in qualified):
             b, p = int(qualified[0]), int(qualified[1])
             if 1 <= b <= part.n_blocks and 1 <= p <= part.sizes[b - 1]:
                 out.append(part.offsets[b - 1] + p - 1)
@@ -139,7 +142,7 @@ def _resolve_tokens(
                 f"block position {tok!r} out of range for {side.value} blocks "
                 f"{list(part.sizes)}"
             )
-        if tok.isdigit():
+        if tok.isdecimal():
             i = int(tok)
             if 1 <= i <= len(labels):
                 out.append(i - 1)
@@ -157,10 +160,8 @@ def _resolve_seed(spec: ModelSpec, args) -> StateVector:
     tokens = [t for t in (args.on or "").split(",") if t]
     if not tokens:
         raise _UsageError("--on needs at least one label, index or block.position")
-    if args.side:
-        side = Side(args.side)
-    elif spec.one_sided:
-        side = Side.DOMAIN
+    if args.side or spec.one_sided:
+        side = _side_arg(spec, args)
     else:
         sides = []
         for cand in (Side.DOMAIN, Side.RANGE):
@@ -238,16 +239,10 @@ def _cmd_run(args) -> int:
     spec = _load_spec(args)
     seed = _resolve_seed(spec, args)
     overrides = _build_overrides(args)
-    policy = overrides.merge(spec.policy) if overrides else spec.policy
-    pattern = run_hidden_pattern(
-        spec.matrix,
-        seed,
-        policy,
-        max_steps=args.max_steps,
-        one_sided=spec.one_sided,
-        record_trace=True,
+    pattern = run_model(spec, seed, overrides, max_steps=args.max_steps)
+    report = build_report(
+        spec, seed, pattern, overrides.merge(spec.policy), include_trace=args.trace
     )
-    report = build_report(spec, seed, pattern, policy, include_trace=args.trace)
     if args.json:
         _emit(serialize_report(report), args)
     else:
@@ -258,8 +253,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     side = _side_arg(spec, args)
-    overrides = _build_overrides(args)
-    policy = overrides.merge(spec.policy) if overrides else spec.policy
+    policy = _build_overrides(args).merge(spec.policy)
     labels = spec.labels_flat(side)
     results = sweep_unit_seeds(
         spec.matrix,
@@ -301,8 +295,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_attractors(args) -> int:
     spec = _load_spec(args)
     side = _side_arg(spec, args)
-    overrides = _build_overrides(args)
-    policy = overrides.merge(spec.policy) if overrides else spec.policy
+    policy = _build_overrides(args).merge(spec.policy)
     census = enumerate_attractors(
         spec.matrix,
         side,

@@ -100,6 +100,9 @@ class ThresholdRule:
         sym = ">=" if self.comparator is Comparator.GE else ">"
         return f"{sym} {_fmt_number(self.cutoff)}"
 
+    def as_dict(self) -> dict:
+        return {"cmp": self.comparator.value, "cutoff": self.cutoff}
+
 
 GT_ZERO = ThresholdRule(Comparator.GT, 0.0)
 
@@ -137,6 +140,17 @@ class ThresholdPolicy:
 
     def rule_for(self, side: Side) -> ThresholdRule:
         return self.domain_rule if side is Side.DOMAIN else self.range_rule
+
+    def as_dict(self) -> dict:
+        """The policy as in reports and ``validate --json``; cutoffs are floats."""
+        return {
+            "domain": self.domain_rule.as_dict(),
+            "range": self.range_rule.as_dict(),
+            "first_step": {
+                "mode": self.first_step_mode.value,
+                **self.first_step_rule.as_dict(),
+            },
+        }
 
     def named_rules(self) -> tuple[tuple[str, ThresholdRule], ...]:
         """The three rules under their names in a model document."""
@@ -180,8 +194,9 @@ class StateVector:
     partition: Partition
 
     def __post_init__(self):
-        bits = tuple(map(int, self.bits))
-        if not set(bits) <= {0, 1}:
+        given = tuple(self.bits)
+        bits = tuple(map(int, given))
+        if bits != given or not set(bits) <= {0, 1}:
             raise ValueError("state bits must be 0 or 1")
         if self.partition.total != len(bits):
             raise DimensionMismatch(
@@ -294,10 +309,6 @@ class HiddenPattern:
         if self.kind is not PatternKind.FIXED_POINT:
             raise ValueError("not a fixed point")
         return self.pair_sequence[0]
-
-    def seed_side_states(self, side: Side) -> tuple[StateVector, ...]:
-        idx = 0 if side is Side.DOMAIN else 1
-        return tuple(pair[idx] for pair in self.pair_sequence)
 
 
 def special_product(
@@ -563,12 +574,6 @@ def _pairs(
     return tuple(pairs)
 
 
-def unit_seed(
-    index: int, side: Side, partition: Partition
-) -> StateVector:
-    return StateVector.from_on_indices([index], side, partition)
-
-
 def sweep_unit_seeds(
     matrix: SuperMatrix,
     side: Side,
@@ -580,7 +585,7 @@ def sweep_unit_seeds(
     """Run every unit vector on ``side``, in index order."""
     side = Side(side)
     part = _side_partition(matrix, side)
-    seeds = [unit_seed(i, side, part) for i in range(part.total)]
+    seeds = [StateVector.from_on_indices([i], side, part) for i in range(part.total)]
     _check_run(matrix, seeds[0], policy, max_steps, one_sided)  # all share one shape
     return tuple(
         (i, _run(matrix, seed, policy, max_steps, one_sided, record_trace))

@@ -32,7 +32,7 @@ from .errors import (
 )
 # validate_model is bound here, though only ModelSpec calls it, because
 # perfbench's tracer wraps and checks every module binding of it
-from .models import ModelSpec, validate_model  # noqa: F401
+from .models import ModelKind, ModelSpec, validate_model  # noqa: F401
 from .supermatrix import EntryDomain, Partition, SuperMatrix
 
 __all__ = [
@@ -74,6 +74,11 @@ _TOP_KEYS = {
     "policy",
     "description",
 }
+# the values a document may name, in declaration order (error texts list them)
+_KINDS = tuple(k.value for k in ModelKind)
+_DOMAINS = tuple(d.value for d in EntryDomain)
+_MODES = tuple(m.value for m in FirstStepMode)
+_CMPS = tuple(c.value for c in Comparator)
 
 
 def _num(x: float) -> str:
@@ -182,9 +187,16 @@ def _loads(text: str):
     except json.JSONDecodeError:
         raise
     except ValueError:
-        # an integer literal too long for int(): read as a float it is
-        # infinite, which validation refuses as it refuses 1e999
-        return json.loads(text, parse_int=float)
+        # an integer literal too long for int(): that literal alone is read
+        # as a float, infinite, which validation refuses as it refuses 1e999
+        return json.loads(text, parse_int=_int)
+
+
+def _int(literal: str):
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
 
 
 def _parse_rule(obj, where: str) -> ThresholdRule:
@@ -193,7 +205,7 @@ def _parse_rule(obj, where: str) -> ThresholdRule:
     _expect(not extra, where, f"unknown fields: {sorted(extra)}")
     _expect("cmp" in obj and "cutoff" in obj, where, "needs cmp and cutoff")
     cmp_val = obj["cmp"]
-    _expect(cmp_val in ("ge", "gt"), where, f"cmp must be ge or gt, got {cmp_val!r}")
+    _expect(cmp_val in _CMPS, where, f"cmp must be ge or gt, got {cmp_val!r}")
     cutoff = obj["cutoff"]
     _expect(
         isinstance(cutoff, (int, float)) and not isinstance(cutoff, bool),
@@ -239,18 +251,17 @@ def parse_model(text: str) -> ModelSpec:
     _expect(not extra, "document", f"unknown fields: {sorted(extra)}")
     missing = _TOP_KEYS - {"description"} - set(doc)
     _expect(not missing, "document", f"missing fields: {sorted(missing)}")
+    version = doc["format_version"]
     _expect(
-        doc["format_version"] == FORMAT_VERSION,
+        type(version) is int and version == FORMAT_VERSION,
         "format_version",
-        f"expected {FORMAT_VERSION}, got {doc['format_version']!r}",
+        f"expected {FORMAT_VERSION}, got {version!r}",
     )
     _expect(isinstance(doc["name"], str), "name", "must be a string")
     kind = doc["kind"]
-    kinds = ("fcm", "frm", "super_row_frm", "super_column_frm", "super_frm")
-    _expect(kind in kinds, "kind", f"must be one of {kinds}, got {kind!r}")
+    _expect(kind in _KINDS, "kind", f"must be one of {_KINDS}, got {kind!r}")
     ed = doc["entry_domain"]
-    domains = tuple(d.value for d in EntryDomain)
-    _expect(ed in domains, "entry_domain", f"must be one of {domains}, got {ed!r}")
+    _expect(ed in _DOMAINS, "entry_domain", f"must be one of {_DOMAINS}, got {ed!r}")
 
     domain_blocks = _parse_label_blocks(doc["domain"], "domain")
     range_blocks = _parse_label_blocks(doc["range"], "range")
@@ -310,11 +321,10 @@ def parse_model(text: str) -> ModelSpec:
         "policy.first_step",
         "needs mode, cmp and cutoff",
     )
-    modes = ("auto", "always", "never")
     _expect(
-        fs["mode"] in modes,
+        fs["mode"] in _MODES,
         "policy.first_step.mode",
-        f"must be one of {modes}, got {fs['mode']!r}",
+        f"must be one of {_MODES}, got {fs['mode']!r}",
     )
     policy = ThresholdPolicy(
         domain_rule=_parse_rule(pol["domain"], "policy.domain"),
@@ -367,11 +377,8 @@ class RunReport:
     range_labels: tuple[str, ...]
     include_trace: bool = False
 
-    def labels_for(self, side: Side) -> tuple[str, ...]:
-        return self.domain_labels if side is Side.DOMAIN else self.range_labels
-
     def on_labels(self, state: StateVector) -> tuple[str, ...]:
-        labels = self.labels_for(state.side)
+        labels = self.domain_labels if state.side is Side.DOMAIN else self.range_labels
         return tuple(labels[i] for i in state.on_indices)
 
 
@@ -395,24 +402,6 @@ def build_report(
     )
 
 
-def _policy_dict(policy: ThresholdPolicy) -> dict:
-    return {
-        "domain": {
-            "cmp": policy.domain_rule.comparator.value,
-            "cutoff": policy.domain_rule.cutoff,
-        },
-        "range": {
-            "cmp": policy.range_rule.comparator.value,
-            "cutoff": policy.range_rule.cutoff,
-        },
-        "first_step": {
-            "mode": policy.first_step_mode.value,
-            "cmp": policy.first_step_rule.comparator.value,
-            "cutoff": policy.first_step_rule.cutoff,
-        },
-    }
-
-
 def _state_dict(report: RunReport, state: StateVector) -> dict:
     return {
         "side": state.side.value,
@@ -431,7 +420,7 @@ def report_to_dict(report: RunReport) -> dict:
             "side": report.seed_side.value,
             "labels": list(report.seed_labels),
         },
-        "policy": _policy_dict(report.policy),
+        "policy": report.policy.as_dict(),
         "pattern": {
             "kind": pat.kind.value,
             "period": pat.period,
@@ -450,10 +439,7 @@ def report_to_dict(report: RunReport) -> dict:
             {
                 "step": rec.step_index,
                 "produced_side": rec.produced_side.value,
-                "rule": {
-                    "cmp": rec.rule_applied.comparator.value,
-                    "cutoff": rec.rule_applied.cutoff,
-                },
+                "rule": rec.rule_applied.as_dict(),
                 "raw": [
                     int(v) if float(v).is_integer() else v for v in rec.raw
                 ],

@@ -27,9 +27,11 @@ from .dynamics import (
 from .errors import ModelValidationError, UnknownLabel, WrongSide
 from .supermatrix import (
     EntryDomain,
+    Kind,
     Partition,
     SuperMatrix,
     check_entry_domain,
+    classify,
 )
 
 __all__ = [
@@ -119,15 +121,13 @@ class Diagnostic:
         return f"{self.code} at {self.location}: {self.message}"
 
 
-def _expected_kind(matrix: SuperMatrix) -> ModelKind:
-    rp, cp = matrix.row_partition, matrix.col_partition
-    if rp.trivial and cp.trivial:
-        return ModelKind.FRM
-    if cp.trivial:
-        return ModelKind.SUPER_COLUMN_FRM
-    if rp.trivial:
-        return ModelKind.SUPER_ROW_FRM
-    return ModelKind.SUPER_FRM
+# the relational model kind that each partition structure implies
+_RELATIONAL_KIND = {
+    Kind.SIMPLE: ModelKind.FRM,
+    Kind.SUPER_ROW: ModelKind.SUPER_ROW_FRM,
+    Kind.SUPER_COLUMN: ModelKind.SUPER_COLUMN_FRM,
+    Kind.GENERAL_SUPER: ModelKind.SUPER_FRM,
+}
 
 
 def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
@@ -212,7 +212,7 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                 )
             )
     else:
-        expected = _expected_kind(m)
+        expected = _RELATIONAL_KIND[classify(m).kind]
         if spec.kind is not expected:
             out.append(
                 Diagnostic(
@@ -257,16 +257,8 @@ class PolicyOverrides:
     first_step_mode: Optional[FirstStepMode] = None
 
     def merge(self, policy: ThresholdPolicy) -> ThresholdPolicy:
-        changes = {
-            k: v
-            for k, v in (
-                ("domain_rule", self.domain_rule),
-                ("range_rule", self.range_rule),
-                ("first_step_rule", self.first_step_rule),
-                ("first_step_mode", self.first_step_mode),
-            )
-            if v is not None
-        }
+        # each field names the ThresholdPolicy field it replaces
+        changes = {k: v for k, v in vars(self).items() if v is not None}
         return replace(policy, **changes) if changes else policy
 
 
@@ -304,19 +296,5 @@ def describe(spec: ModelSpec) -> dict:
         "row_blocks": list(spec.matrix.row_partition.sizes),
         "col_blocks": list(spec.matrix.col_partition.sizes),
         "entry_domain": spec.entry_domain.value,
-        "policy": {
-            "domain": {
-                "cmp": spec.policy.domain_rule.comparator.value,
-                "cutoff": spec.policy.domain_rule.cutoff,
-            },
-            "range": {
-                "cmp": spec.policy.range_rule.comparator.value,
-                "cutoff": spec.policy.range_rule.cutoff,
-            },
-            "first_step": {
-                "mode": spec.policy.first_step_mode.value,
-                "cmp": spec.policy.first_step_rule.comparator.value,
-                "cutoff": spec.policy.first_step_rule.cutoff,
-            },
-        },
+        "policy": spec.policy.as_dict(),
     }

@@ -21,6 +21,7 @@ from .errors import (
     DuplicateCut,
     EmptyPartition,
     NonPositiveBlock,
+    PartitionError,
 )
 
 __all__ = [
@@ -31,13 +32,8 @@ __all__ = [
     "Kind",
     "MatrixKind",
     "EntryDomain",
-    "make_partition",
     "partition_from_cuts",
     "partition_matrix",
-    "block",
-    "transpose_matrix",
-    "transpose_vector",
-    "flatten",
     "classify",
     "check_entry_domain",
 ]
@@ -54,9 +50,12 @@ class Partition:
     sizes: tuple[int, ...]
 
     def __init__(self, sizes: Iterable[int]):
-        sizes = tuple(int(s) for s in sizes)
+        given = tuple(sizes)
+        sizes = tuple(int(s) for s in given)
         if not sizes:
             raise EmptyPartition("a partition needs at least one block")
+        if sizes != given:
+            raise PartitionError(f"block sizes {given!r} are not all integers")
         for s in sizes:
             if s < 1:
                 raise NonPositiveBlock(f"block size {s} is not positive")
@@ -101,11 +100,6 @@ class Partition:
 
     def __iter__(self):
         return iter(self.sizes)
-
-
-def make_partition(sizes: Iterable[int]) -> Partition:
-    """Build a :class:`Partition` from block widths."""
-    return Partition(sizes)
 
 
 def partition_from_cuts(total: int, cuts: Iterable[int]) -> Partition:
@@ -171,16 +165,6 @@ class SuperVector:
 
     def __hash__(self):
         return hash((self.orientation, self.partition, self.entries.tobytes()))
-
-    @property
-    def mixed(self) -> bool:
-        return self.partition.mixed
-
-    def block(self, i: int) -> np.ndarray:
-        return self.entries[self.partition.block_slice(i)].copy()
-
-    def blocks(self) -> list[np.ndarray]:
-        return [self.block(i) for i in range(self.partition.n_blocks)]
 
     def transpose(self) -> "SuperVector":
         flipped = (
@@ -268,12 +252,6 @@ class SuperMatrix:
         """Plain grid with the partitions dropped."""
         return self.entries.copy()
 
-    def row_cuts(self) -> tuple[int, ...]:
-        return self.row_partition.cuts
-
-    def col_cuts(self) -> tuple[int, ...]:
-        return self.col_partition.cuts
-
 
 def partition_matrix(
     entries, row_cuts: Iterable[int] = (), col_cuts: Iterable[int] = ()
@@ -289,22 +267,6 @@ def partition_matrix(
     rp = partition_from_cuts(a.shape[0], row_cuts)
     cp = partition_from_cuts(a.shape[1], col_cuts)
     return SuperMatrix(a, rp, cp)
-
-
-def block(matrix: SuperMatrix, i: int, j: int) -> np.ndarray:
-    return matrix.block(i, j)
-
-
-def transpose_matrix(matrix: SuperMatrix) -> SuperMatrix:
-    return matrix.transpose()
-
-
-def transpose_vector(vector: SuperVector) -> SuperVector:
-    return vector.transpose()
-
-
-def flatten(value: "SuperMatrix | SuperVector") -> np.ndarray:
-    return value.flatten()
 
 
 class Kind(str, Enum):
@@ -384,18 +346,3 @@ def check_entry_domain(
     rows, cols = np.nonzero(~EntryDomain(domain).contains(matrix.entries))
     values = matrix.entries[rows, cols]
     return list(zip(rows.tolist(), cols.tolist(), values.tolist()))
-
-
-def reassemble(matrix: SuperMatrix) -> np.ndarray:
-    """Concatenate blocks in partition order; must equal the flat grid."""
-    rows = []
-    for i in range(matrix.row_partition.n_blocks):
-        rows.append(
-            np.hstack(
-                [
-                    matrix.block(i, j)
-                    for j in range(matrix.col_partition.n_blocks)
-                ]
-            )
-        )
-    return np.vstack(rows)

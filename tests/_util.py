@@ -1,6 +1,8 @@
 """Small helpers shared by the test modules."""
 
-from fuzzymaps import Partition, Side, StateVector
+import numpy as np
+
+from fuzzymaps import Partition, Side, StateVector, SuperMatrix
 
 
 def bits(s: str) -> tuple[int, ...]:
@@ -26,3 +28,18 @@ def canonical(masks: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate a cycle of bitmasks so its smallest state comes first."""
     lo = masks.index(min(masks))
     return masks[lo:] + masks[:lo]
+
+
+def reassemble(matrix: SuperMatrix) -> np.ndarray:
+    """Concatenate blocks in partition order; must equal the flat grid."""
+    rows = []
+    for i in range(matrix.row_partition.n_blocks):
+        rows.append(
+            np.hstack(
+                [
+                    matrix.block(i, j)
+                    for j in range(matrix.col_partition.n_blocks)
+                ]
+            )
+        )
+    return np.vstack(rows)

@@ -92,6 +92,16 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_document_not_utf8_is_invalid_model(self, capsys, tmp_path, flags):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, "validate", str(path), *flags)
+        assert code == 3
+        assert err.startswith("invalid model: ") and "UTF-8" in err
+        if flags:
+            assert json.loads(out)["valid"] is False
+
     def test_json_output(self, capsys):
         code, out, err = run_cli(
             capsys, "validate", "--fixture", "ex_1_2_2", "--json"
@@ -151,6 +161,21 @@ class TestRun:
         )
         assert code == 0
         assert json.loads(out)["seed"]["labels"] == ["e4^1", "e2^2", "e4^3"]
+
+    @pytest.mark.parametrize(
+        "fixture, flags, token",
+        [
+            ("sec_2_5_fcm", [], "\u00b2"),
+            ("sec_2_2", ["--side", "domain"], "1.\u00b2"),
+        ],
+    )
+    def test_non_decimal_digits_are_usage_error(self, capsys, fixture, flags, token):
+        # "\u00b2".isdigit() holds, but int() refuses it
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", fixture, *flags, "--on", token
+        )
+        assert code == 2
+        assert f"label {token!r}" in err and out == ""
 
     def test_policy_override_grammar(self, capsys):
         code, out, err = run_cli(
@@ -310,6 +335,62 @@ class TestAttractors:
         )
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+class TestPinnedOutput:
+    """sha256 of run, sweep and validate output, recorded before the report
+    and the CLI shared one policy writer and ``run`` called ``run_model``."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["run", "--fixture", "ex_1_2_1", "--on", "a1", "--json", "--trace"],
+             "7dfc6a5a38245bcce25f8fdb71ea96bd7ef5ca3149d9f2792c440b2eb25d39db"),
+            (["run", "--fixture", "sec_2_2", "--side", "domain",
+              "--on", "A.R1,C.R4", "--json", "--trace"],
+             "f8f4ccfd2f552118d622fdd6c61facd20784a8495ba35f5d5eb06231e349c9db"),
+            (["run", "--fixture", "sec_2_2", "--side", "range", "--on", "S4",
+              "--json", "--trace"],
+             "60c84505e227d1b6f358f0823fe79ff75842d217e568629d5be68a68a4e4a17d"),
+            (["run", "--fixture", "sec_2_5_fcm", "--on", "R11", "--json", "--trace"],
+             "1fe222ff69ffb310b6f45bb4b8c9c4c3d648b8f7e3f042d21073aa698133ab97"),
+            (["run", "--fixture", "sec_2_2", "--side", "range", "--on", "S1,S10",
+              "--json", "--trace", "--threshold-domain", "gt:0",
+              "--threshold-range", "ge:1.5", "--first-step", "ge:1"],
+             "d4fed07d02e6add0bc364a0e0220b08223214f0eff14f442a2629445cd5009a7"),
+            (["run", "--fixture", "ex_1_2_1", "--on", "a2", "--json", "--trace",
+              "--threshold-domain", "ge:1", "--first-step", "never"],
+             "0d116ceb7d495cafebb18f7c51ef7b1502634f23198a683c5482dd7eaa9483c8"),
+            (["sweep", "--fixture", "ex_1_2_1", "--side", "domain", "--json"],
+             "50d96688c5aa0fa12ea74a2877a8d679df6f333f1c4959fb368803554c7bc906"),
+            (["sweep", "--fixture", "sec_2_2", "--side", "domain", "--json"],
+             "1f7405f5c080609490d58840950cb9db8459cbada3dc7a80d5c175141c42428f"),
+            (["sweep", "--fixture", "sec_2_2", "--side", "range", "--json"],
+             "cfc681125feea1a3d1a0c1cdcbbbe8544ca01dca3491bcd3fc3204773c3f62bc"),
+            (["sweep", "--fixture", "sec_2_5_fcm", "--json"],
+             "468a9b682da49cd5bdd38e0323f19f076c7958df885207a0e398476144f176c0"),
+            (["sweep", "--fixture", "sec_2_2", "--side", "range", "--json",
+              "--threshold-range", "gt:9", "--first-step", "always"],
+             "b1bce7d2fbaedbddd321e571db8b6cb93df706df06ec8cd9093dc7977a8d1a60"),
+            (["validate", "--fixture", "ex_1_2_1", "--json"],
+             "718124e46efcab07f822177ebcd2b900ba7b60c9fdd5113aab701addf6abf202"),
+            (["validate", "--fixture", "sec_2_2", "--json"],
+             "6e149fb1f021ca0e4385ec8ba338c5e5abe0e48f8c652988685d98741aefe4e0"),
+            (["validate", "--fixture", "sec_2_5_fcm", "--json"],
+             "9260adc2f9c4298e5e8b80f09770c00eb50001704fc535304fcafd69a66f4aa4"),
+        ],
+        ids=[
+            "run-ex_1_2_1", "run-sec_2_2-domain", "run-sec_2_2-range",
+            "run-sec_2_5_fcm", "run-sec_2_2-flags", "run-ex_1_2_1-flags",
+            "sweep-ex_1_2_1", "sweep-sec_2_2-domain", "sweep-sec_2_2-range",
+            "sweep-sec_2_5_fcm", "sweep-sec_2_2-flags", "validate-ex_1_2_1",
+            "validate-sec_2_2", "validate-sec_2_5_fcm",
+        ],
+    )
+    def test_output_bytes_pinned(self, capsys, argv, digest):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestDot:
     def test_bipartite_clusters(self, capsys):

@@ -184,6 +184,16 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector((0, 2), Side.DOMAIN, Partition([2]))
 
+    @pytest.mark.parametrize("given", [(0.5, 1.9), (0, 1.5), ("0", "1")])
+    def test_rejects_bits_that_int_would_change(self, given):
+        with pytest.raises(ValueError, match="state bits must be 0 or 1"):
+            StateVector(given, Side.DOMAIN, Partition([2]))
+
+    def test_accepts_integral_bits_of_any_number_type(self):
+        state = StateVector((1.0, np.uint8(0), True), Side.DOMAIN, Partition([3]))
+        assert state.bits == (1, 0, 1)
+        assert all(type(b) is int for b in state.bits)
+
     def test_rejects_a_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             StateVector((0, 1, 1), Side.DOMAIN, Partition([2]))

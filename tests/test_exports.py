@@ -1,0 +1,48 @@
+"""Every exported name resolves, and the removed forwarders stay removed."""
+
+import importlib
+
+import pytest
+
+import fuzzymaps
+
+MODULES = ["fuzzymaps"] + [
+    f"fuzzymaps.{m}"
+    for m in ("cli", "dynamics", "errors", "model_io", "models", "supermatrix")
+]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    names = getattr(mod, "__all__", [])
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(mod, name)]
+    assert not missing
+
+
+def test_star_import():
+    namespace = {}
+    exec("from fuzzymaps import *", namespace)
+    assert set(fuzzymaps.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("supermatrix", "make_partition"),
+        ("supermatrix", "block"),
+        ("supermatrix", "transpose_matrix"),
+        ("supermatrix", "transpose_vector"),
+        ("supermatrix", "flatten"),
+        ("supermatrix", "reassemble"),
+        ("dynamics", "unit_seed"),
+        ("models", "_expected_kind"),
+        ("model_io", "_policy_dict"),
+    ],
+)
+def test_removed_names_stay_removed(module, name):
+    # partitions, blocks, transposes and flattening are methods of
+    # Partition, SuperMatrix and SuperVector
+    assert not hasattr(importlib.import_module(f"fuzzymaps.{module}"), name)
+    assert not hasattr(fuzzymaps, name)

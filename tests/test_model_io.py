@@ -109,11 +109,15 @@ class TestParseErrors:
         with pytest.raises(ModelSchemaError, match="extra"):
             parse_model(json.dumps(doc))
 
-    def test_bad_format_version(self):
+    @pytest.mark.parametrize(
+        "version", [2, True, 1.0, "1"], ids=["int-2", "true", "float-1.0", "string-1"]
+    )
+    def test_bad_format_version(self, version):
         doc = json.loads(fixture_text("ex_1_2_1"))
-        doc["format_version"] = 2
-        with pytest.raises(ModelSchemaError, match="format_version"):
+        doc["format_version"] = version
+        with pytest.raises(ModelSchemaError) as err:
             parse_model(json.dumps(doc))
+        assert str(err.value) == f"format_version: expected 1, got {version!r}"
 
     def test_missing_field(self):
         doc = json.loads(fixture_text("ex_1_2_1"))

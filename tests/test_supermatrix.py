@@ -11,10 +11,7 @@ from fuzzymaps import (
     SuperVector,
     check_entry_domain,
     classify,
-    make_partition,
     partition_matrix,
-    transpose_matrix,
-    transpose_vector,
 )
 from fuzzymaps.errors import (
     BlockIndexOutOfRange,
@@ -23,8 +20,11 @@ from fuzzymaps.errors import (
     DuplicateCut,
     EmptyPartition,
     NonPositiveBlock,
+    PartitionError,
 )
-from fuzzymaps.supermatrix import Orientation, reassemble
+from fuzzymaps.supermatrix import Orientation
+
+from _util import reassemble
 
 # 9x6 demonstration supermatrix, row blocks [3,4,2], column blocks [2,4]
 GRID_9X6 = [
@@ -93,27 +93,36 @@ def m9x6():
 
 class TestPartition:
     def test_sizes_and_offsets(self):
-        p = make_partition([4, 6, 5, 3])
+        p = Partition([4, 6, 5, 3])
         assert p.total == 18
         assert p.offsets == (0, 4, 10, 15, 18)
         assert p.cuts == (4, 10, 15)
         assert p.mixed
 
     def test_trivial(self):
-        p = make_partition([1])
+        p = Partition([1])
         assert p.trivial and p.total == 1 and not p.mixed
 
     def test_uniform_not_mixed(self):
-        p = make_partition([3, 3, 3])
+        p = Partition([3, 3, 3])
         assert p.total == 9 and not p.mixed and not p.trivial
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyPartition):
-            make_partition([])
+            Partition([])
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonPositiveBlock):
-            make_partition([2, 0, 1])
+            Partition([2, 0, 1])
+
+    @pytest.mark.parametrize("sizes", [[2.7], [3, 0.5], ["2"]])
+    def test_non_integral_sizes_rejected(self, sizes):
+        with pytest.raises(PartitionError, match="not all integers"):
+            Partition(sizes)
+
+    def test_integral_sizes_of_any_number_type(self):
+        p = Partition([2.0, np.int64(3)])
+        assert p.sizes == (2, 3) and all(type(s) is int for s in p.sizes)
 
 
 class TestPartitionMatrix:
@@ -173,7 +182,7 @@ class TestTranspose:
         m = SuperMatrix(
             np.array(GRID_12X5, float), Partition([2, 4, 1, 3, 2]), Partition([5])
         )
-        t = transpose_matrix(m)
+        t = m.transpose()
         assert t.shape == (5, 12)
         assert t.col_partition.sizes == (2, 4, 1, 3, 2)
         assert t.row_partition.trivial
@@ -182,7 +191,7 @@ class TestTranspose:
 
     def test_involution(self):
         m = m9x6()
-        assert transpose_matrix(transpose_matrix(m)) == m
+        assert m.transpose().transpose() == m
 
     def test_blockwise_against_double_loop(self):
         rng = np.random.default_rng(7)
@@ -205,15 +214,15 @@ class TestTranspose:
             Partition([4, 6, 5, 3]),
             Orientation.ROW,
         )
-        t = transpose_vector(x)
+        t = x.transpose()
         assert t.orientation is Orientation.COLUMN
         assert t.partition == x.partition
         assert np.array_equal(t.entries, x.entries)
-        assert transpose_vector(t) == x
+        assert t.transpose() == x
 
     def test_single_entry_vector(self):
         v = SuperVector(np.array([2.0]), Partition([1]), Orientation.COLUMN)
-        assert transpose_vector(v).orientation is Orientation.ROW
+        assert v.transpose().orientation is Orientation.ROW
 
 
 class TestFlatten:
@@ -221,7 +230,9 @@ class TestFlatten:
         m = m9x6()
         flat = m.flatten()
         assert np.array_equal(flat, np.array(GRID_9X6, float))
-        again = partition_matrix(flat, row_cuts=m.row_cuts(), col_cuts=m.col_cuts())
+        again = partition_matrix(
+            flat, row_cuts=m.row_partition.cuts, col_cuts=m.col_partition.cuts
+        )
         assert again == m
 
     def test_vector_flatten(self):
@@ -346,5 +357,5 @@ def test_reassembly_matches_flatten(m):
 
 @given(supermatrices())
 def test_cut_round_trip(m):
-    again = partition_matrix(m.flatten(), m.row_cuts(), m.col_cuts())
+    again = partition_matrix(m.flatten(), m.row_partition.cuts, m.col_partition.cuts)
     assert again == m
