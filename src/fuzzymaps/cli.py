@@ -10,6 +10,7 @@ import difflib
 import json
 import math
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .dynamics import (
@@ -18,6 +19,7 @@ from .dynamics import (
     PatternKind,
     Side,
     StateVector,
+    ThresholdPolicy,
     ThresholdRule,
     enumerate_attractors,
     sweep_unit_seeds,
@@ -46,7 +48,6 @@ from .model_io import (
 # perfbench's tracer wraps and checks every module binding of it
 from .models import (  # noqa: F401
     ModelSpec,
-    PolicyOverrides,
     describe,
     run_model,
     validate_model,
@@ -80,27 +81,23 @@ def _parse_rule_arg(text: str, flag: str) -> ThresholdRule:
     return ThresholdRule(Comparator(parts[0]), cutoff)
 
 
-def _build_overrides(args) -> PolicyOverrides:
-    domain_rule = range_rule = first_rule = None
-    first_mode = None
-    if getattr(args, "threshold_domain", None):
-        domain_rule = _parse_rule_arg(args.threshold_domain, "--threshold-domain")
-    if getattr(args, "threshold_range", None):
-        range_rule = _parse_rule_arg(args.threshold_range, "--threshold-range")
-    fs = getattr(args, "first_step", None)
-    if fs:
-        if fs in _MODES:
-            first_mode = FirstStepMode(fs)
-        else:
-            # an explicit rule pins the first product unconditionally
-            first_rule = _parse_rule_arg(fs, "--first-step")
-            first_mode = FirstStepMode.ALWAYS
-    return PolicyOverrides(
-        domain_rule=domain_rule,
-        range_rule=range_rule,
-        first_step_rule=first_rule,
-        first_step_mode=first_mode,
-    )
+def _build_policy(spec: ModelSpec, args) -> ThresholdPolicy:
+    """The model's policy with the fields that the policy flags name replaced."""
+    changes = {}
+    for field, text, flag in (
+        ("domain_rule", args.threshold_domain, "--threshold-domain"),
+        ("range_rule", args.threshold_range, "--threshold-range"),
+    ):
+        if text:
+            changes[field] = _parse_rule_arg(text, flag)
+    fs = args.first_step
+    if fs in _MODES:
+        changes["first_step_mode"] = FirstStepMode(fs)
+    elif fs:
+        # an explicit rule pins the first product unconditionally
+        changes["first_step_rule"] = _parse_rule_arg(fs, "--first-step")
+        changes["first_step_mode"] = FirstStepMode.ALWAYS
+    return replace(spec.policy, **changes)
 
 
 def _load_spec(args) -> ModelSpec:
@@ -195,9 +192,12 @@ def _side_arg(spec: ModelSpec, args) -> Side:
 
 
 def _emit(text: str, args) -> None:
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _UsageError(f"cannot write output: {e}")
     else:
         sys.stdout.write(text)
 
@@ -238,11 +238,9 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     spec = _load_spec(args)
     seed = _resolve_seed(spec, args)
-    overrides = _build_overrides(args)
-    pattern = run_model(spec, seed, overrides, max_steps=args.max_steps)
-    report = build_report(
-        spec, seed, pattern, overrides.merge(spec.policy), include_trace=args.trace
-    )
+    policy = _build_policy(spec, args)
+    pattern = run_model(spec, seed, policy, max_steps=args.max_steps)
+    report = build_report(spec, seed, pattern, policy, include_trace=args.trace)
     if args.json:
         _emit(serialize_report(report), args)
     else:
@@ -253,7 +251,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args)
     side = _side_arg(spec, args)
-    policy = _build_overrides(args).merge(spec.policy)
+    policy = _build_policy(spec, args)
     labels = spec.labels_flat(side)
     results = sweep_unit_seeds(
         spec.matrix,
@@ -295,7 +293,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_attractors(args) -> int:
     spec = _load_spec(args)
     side = _side_arg(spec, args)
-    policy = _build_overrides(args).merge(spec.policy)
+    policy = _build_policy(spec, args)
     census = enumerate_attractors(
         spec.matrix,
         side,

@@ -93,12 +93,9 @@ class ThresholdRule:
         """The elementwise test, called as ``compare(raw, cutoff)``."""
         return np.greater_equal if self.comparator is Comparator.GE else np.greater
 
-    def apply(self, raw) -> np.ndarray:
-        return self.compare(np.asarray(raw, dtype=float), self.cutoff).astype(np.uint8)
-
     def describe(self) -> str:
         sym = ">=" if self.comparator is Comparator.GE else ">"
-        return f"{sym} {_fmt_number(self.cutoff)}"
+        return f"{sym} {_num(self.cutoff)}"
 
     def as_dict(self) -> dict:
         return {"cmp": self.comparator.value, "cutoff": self.cutoff}
@@ -181,8 +178,15 @@ class ThresholdPolicy:
         return seed.count_on == 1
 
 
-def _fmt_number(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else repr(float(x))
+def _plain(x: float) -> "int | float":
+    """``x`` as an ``int`` when integral, else as a ``float``."""
+    f = float(x)
+    return int(f) if f.is_integer() else f
+
+
+def _num(x: float) -> str:
+    """Number text: an integral value prints as an int, any other as ``repr``."""
+    return str(_plain(x))
 
 
 @dataclass(frozen=True)
@@ -347,7 +351,7 @@ def special_product(
 
 
 def apply_threshold(raw, rule: ThresholdRule) -> np.ndarray:
-    return rule.apply(raw)
+    return rule.compare(np.asarray(raw, dtype=float), rule.cutoff).astype(np.uint8)
 
 
 def apply_update(bits, forced_on: Iterable[int]) -> np.ndarray:

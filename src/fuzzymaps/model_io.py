@@ -24,6 +24,8 @@ from .dynamics import (
     StateVector,
     ThresholdPolicy,
     ThresholdRule,
+    _num,
+    _plain,
 )
 from .errors import (
     ModelSchemaError,
@@ -81,12 +83,6 @@ _MODES = tuple(m.value for m in FirstStepMode)
 _CMPS = tuple(c.value for c in Comparator)
 
 
-def _num(x: float) -> str:
-    """Canonical number rendering: integral values print as integers."""
-    f = float(x)
-    return str(int(f)) if f.is_integer() else json.dumps(f)
-
-
 def _jstr(s: str) -> str:
     return json.dumps(s, ensure_ascii=True)
 
@@ -129,23 +125,15 @@ def serialize_model(spec: ModelSpec) -> str:
         lines.append("    [" + ", ".join(map(text, row.tolist())) + "],")
     lines[-1] = lines[-1][:-1]  # no comma after the last row
     lines.append("  ],")
-    pol = spec.policy
     lines.append('  "policy": {')
-    lines.append(
-        '    "domain": '
-        + _rule_json(pol.domain_rule)
-        + ","
-    )
-    lines.append('    "range": ' + _rule_json(pol.range_rule) + ",")
-    lines.append(
-        '    "first_step": {"mode": '
-        + _jstr(pol.first_step_mode.value)
-        + ', "cmp": '
-        + _jstr(pol.first_step_rule.comparator.value)
-        + ', "cutoff": '
-        + _num(pol.first_step_rule.cutoff)
-        + "}"
-    )
+    for where, fields in spec.policy.as_dict().items():
+        # the fields are strings and float cutoffs
+        body = ", ".join(
+            f"{_jstr(k)}: {_jstr(v) if isinstance(v, str) else _num(v)}"
+            for k, v in fields.items()
+        )
+        lines.append(f"    {_jstr(where)}: {{{body}}},")
+    lines[-1] = lines[-1][:-1]  # no comma after the last rule
     if spec.description:
         lines.append("  },")
         lines.append(f'  "description": {_jstr(spec.description)}')
@@ -153,16 +141,6 @@ def serialize_model(spec: ModelSpec) -> str:
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _rule_json(rule: ThresholdRule) -> str:
-    return (
-        '{"cmp": '
-        + _jstr(rule.comparator.value)
-        + ', "cutoff": '
-        + _num(rule.cutoff)
-        + "}"
-    )
 
 
 def _expect(cond: bool, where: str, what: str) -> None:
@@ -440,9 +418,7 @@ def report_to_dict(report: RunReport) -> dict:
                 "step": rec.step_index,
                 "produced_side": rec.produced_side.value,
                 "rule": rec.rule_applied.as_dict(),
-                "raw": [
-                    int(v) if float(v).is_integer() else v for v in rec.raw
-                ],
+                "raw": [_plain(v) for v in rec.raw],
                 "thresholded": list(rec.thresholded),
                 "after_update": list(rec.after_update),
             }
@@ -473,10 +449,7 @@ def report_to_text(report: RunReport) -> str:
     if report.include_trace and pat.trace is not None:
         lines.append("trace:")
         for rec in pat.trace:
-            raw = " ".join(
-                str(int(v)) if float(v).is_integer() else f"{v:g}"
-                for v in rec.raw
-            )
+            raw = " ".join(map(_num, rec.raw))
             bits = "".join(str(b) for b in rec.after_update)
             lines.append(
                 f"  step {rec.step_index:>2} -> {rec.produced_side.value:<6} "

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .dynamics import (
-    FirstStepMode,
     HiddenPattern,
     Side,
     StateVector,
     ThresholdPolicy,
-    ThresholdRule,
     run_hidden_pattern,
+    _num,
     DEFAULT_MAX_STEPS,
 )
 from .errors import ModelValidationError, UnknownLabel, WrongSide
@@ -38,7 +37,6 @@ __all__ = [
     "ModelKind",
     "ModelSpec",
     "Diagnostic",
-    "PolicyOverrides",
     "validate_model",
     "seed_from_labels",
     "run_model",
@@ -174,7 +172,7 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
             Diagnostic(
                 "entry_domain",
                 f"matrix[{i}][{j}]",
-                f"entry {v:g} outside {spec.entry_domain.value}",
+                f"entry {_num(v)} outside {spec.entry_domain.value}",
             )
         )
 
@@ -182,7 +180,9 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
         if not math.isfinite(rule.cutoff):
             out.append(
                 Diagnostic(
-                    "cutoff", f"policy.{where}", f"cutoff {rule.cutoff:g} is not finite"
+                    "cutoff",
+                    f"policy.{where}",
+                    f"cutoff {_num(rule.cutoff)} is not finite",
                 )
             )
 
@@ -247,28 +247,13 @@ def seed_from_labels(
     )
 
 
-@dataclass(frozen=True)
-class PolicyOverrides:
-    """Optional field-by-field replacements for a model's default policy."""
-
-    domain_rule: Optional[ThresholdRule] = None
-    range_rule: Optional[ThresholdRule] = None
-    first_step_rule: Optional[ThresholdRule] = None
-    first_step_mode: Optional[FirstStepMode] = None
-
-    def merge(self, policy: ThresholdPolicy) -> ThresholdPolicy:
-        # each field names the ThresholdPolicy field it replaces
-        changes = {k: v for k, v in vars(self).items() if v is not None}
-        return replace(policy, **changes) if changes else policy
-
-
 def run_model(
     spec: ModelSpec,
     seed: StateVector,
-    overrides: Optional[PolicyOverrides] = None,
+    policy: Optional[ThresholdPolicy] = None,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> HiddenPattern:
-    """Merge policy overrides and run the hidden-pattern engine.
+    """Run the hidden-pattern engine under ``policy or spec.policy``.
 
     An invalid ``spec`` raises :class:`ModelValidationError`.  The spec is
     validated at most once in its life (:attr:`ModelSpec.diagnostics`), so
@@ -276,11 +261,10 @@ def run_model(
     again here.  The pattern carries the trace of every product.
     """
     spec.require_valid()
-    policy = overrides.merge(spec.policy) if overrides else spec.policy
     return run_hidden_pattern(
         spec.matrix,
         seed,
-        policy,
+        policy or spec.policy,
         max_steps=max_steps,
         one_sided=spec.one_sided,
     )

@@ -8,6 +8,7 @@ and the engine does nothing that leaves the integers.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -16,7 +17,6 @@ from fuzzymaps import (
     Direction,
     Partition,
     PatternKind,
-    PolicyOverrides,
     Side,
     SuperMatrix,
     ThresholdPolicy,
@@ -122,18 +122,17 @@ def _range_sums(hp):
     ]
 
 
-def _discrimination_run(spec, overrides=None):
+def _discrimination_run(spec, policy=None):
     """Run the S4 seed; the oracle must reach the same range member."""
-    hp = run_model(spec, seed_from_labels(spec, {"S4"}, Side.RANGE), overrides)
-    policy = overrides.merge(spec.policy) if overrides else spec.policy
-    census = enumerate_attractors(spec.matrix, Side.RANGE, policy)
+    hp = run_model(spec, seed_from_labels(spec, {"S4"}, Side.RANGE), policy)
+    census = enumerate_attractors(spec.matrix, Side.RANGE, policy or spec.policy)
     assert census.attractor_of(1 << S4).states == (hp.fixed_pair[1].bitmask,)
     return hp
 
 
-def _range_cutoff(comparator, cutoff):
-    return PolicyOverrides(
-        domain_rule=GT0, range_rule=ThresholdRule(comparator, cutoff)
+def _range_cutoff(spec, comparator, cutoff):
+    return replace(
+        spec.policy, domain_rule=GT0, range_rule=ThresholdRule(comparator, cutoff)
     )
 
 
@@ -160,7 +159,7 @@ def test_criterion_03c_discrimination_seed_recorded_pair():
     assert _range_sums(hp) == [(9.0, 9.0), (9.0, 9.0)]
 
     # the recorded pair, under a range cutoff above the tied sum
-    hp = _discrimination_run(spec, _range_cutoff(Comparator.GT, 9))
+    hp = _discrimination_run(spec, _range_cutoff(spec, Comparator.GT, 9))
     d, r = hp.fixed_pair
     assert d.bits == recorded_domain
     assert r.bits == recorded_range, (
@@ -170,9 +169,9 @@ def test_criterion_03c_discrimination_seed_recorded_pair():
     )
 
     # the boundary sits at the tied sum
-    hp = _discrimination_run(spec, _range_cutoff(Comparator.GE, 9))
+    hp = _discrimination_run(spec, _range_cutoff(spec, Comparator.GE, 9))
     assert hp.fixed_pair[1].bits == bits("00010100000000")
-    hp = _discrimination_run(spec, _range_cutoff(Comparator.GE, 10))
+    hp = _discrimination_run(spec, _range_cutoff(spec, Comparator.GE, 10))
     assert hp.fixed_pair[1].bits == recorded_range
 
 
@@ -242,7 +241,8 @@ def test_criterion_06_cognitive_map_seeds():
     hp = run_model(
         spec,
         seed,
-        overrides=PolicyOverrides(
+        replace(
+            spec.policy,
             domain_rule=ThresholdRule(Comparator.GE, 2),
             range_rule=ThresholdRule(Comparator.GE, 2),
         ),

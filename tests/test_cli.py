@@ -1,11 +1,11 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
 from fuzzymaps import (
     Comparator,
-    PolicyOverrides,
     Side,
     ThresholdRule,
     enumerate_attractors,
@@ -101,6 +101,16 @@ class TestValidate:
         assert err.startswith("invalid model: ") and "UTF-8" in err
         if flags:
             assert json.loads(out)["valid"] is False
+
+    def test_entry_named_by_its_exact_value(self, capsys, tmp_path):
+        doc = json.loads(fixture_text("ex_1_2_1"))
+        doc["entry_domain"] = "fuzzy_unit"
+        doc["matrix"][0][0] = 1.0000000000000002
+        path = tmp_path / "above_one.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 3
+        assert "matrix[0][0]: entry 1.0000000000000002 outside fuzzy_unit" in err
 
     def test_json_output(self, capsys):
         code, out, err = run_cli(
@@ -224,6 +234,28 @@ class TestRun:
         assert code == 0
         assert json.loads(target.read_text())["model"] == "ex_1_2_1"
 
+    def test_trace_prints_a_near_tie_exactly(self, capsys, tmp_path):
+        # 0.1 + 0.2 is 0.30000000000000004, which gt 0.3 turns on
+        doc = {
+            "format_version": 1,
+            "name": "near_tie",
+            "kind": "fcm",
+            "entry_domain": "fuzzy_unit",
+            "domain": {"blocks": [["a", "b", "c"]]},
+            "range": {"blocks": [["a", "b", "c"]]},
+            "matrix": [[0, 0, 0.1], [0, 0, 0.2], [0, 0, 0]],
+            "policy": {
+                "domain": {"cmp": "gt", "cutoff": 0.3},
+                "range": {"cmp": "gt", "cutoff": 0.3},
+                "first_step": {"mode": "never", "cmp": "gt", "cutoff": 0},
+            },
+        }
+        path = tmp_path / "near_tie.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "run", str(path), "--on", "a,b", "--trace")
+        assert code == 0, err
+        assert "raw [0 0 0.30000000000000004] > 0.3 -> 111" in out
+
 
 class TestSweep:
     def test_row_count(self, capsys):
@@ -298,10 +330,11 @@ class TestAttractors:
             )
 
         spec = load_fixture("sec_2_2")
-        policy = PolicyOverrides(
+        policy = replace(
+            spec.policy,
             domain_rule=ThresholdRule(Comparator.GT, 0),
             range_rule=ThresholdRule(Comparator.GT, 9),
-        ).merge(spec.policy)
+        )
         census = enumerate_attractors(spec.matrix, Side.RANGE, policy)
         expected = sorted(
             (a.kind.value, a.period, a.basin_size, a.states)
@@ -391,6 +424,35 @@ class TestPinnedOutput:
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    # the text report of a traced run, recorded before raw sums, cutoffs and
+    # model documents shared one number renderer
+    @pytest.mark.parametrize(
+        "argv, flagged, digest",
+        [
+            (["run", "--fixture", "ex_1_2_1", "--on", "a1"], False,
+             "a609c9edd7f2f5fcdcf00b6aeac97db25a80d4ec85657be539a36ea931a2fc41"),
+            (["run", "--fixture", "ex_1_2_1", "--on", "a1"], True,
+             "a7e43f617c256eaa54b30f84e9781b26fe5ddc773ebd5dd5f4831c1014322c5f"),
+            (["run", "--fixture", "sec_2_2", "--side", "range", "--on", "S4"], False,
+             "f8dc372466910e805cb32a3cc6106d1cc54063ba2080a7088c57b49f5a016753"),
+            (["run", "--fixture", "sec_2_2", "--side", "range", "--on", "S4"], True,
+             "464d69b9b9b2b6815e8e0eb1856d5d2806aabde1fc941b1fa50050793e57b1a7"),
+            (["run", "--fixture", "sec_2_5_fcm", "--on", "R11"], False,
+             "459eb20c39304507d43796ab03dc2adca371cc70d7ca8fb581673be7c323cc65"),
+            (["run", "--fixture", "sec_2_5_fcm", "--on", "R11"], True,
+             "ab9b88b4178af5a530adeec1ad8b9653ab0368a250271c7d5bfdbbf8056a2fab"),
+        ],
+        ids=[
+            "ex_1_2_1", "ex_1_2_1-flags", "sec_2_2-range", "sec_2_2-range-flags",
+            "sec_2_5_fcm", "sec_2_5_fcm-flags",
+        ],
+    )
+    def test_trace_text_pinned(self, capsys, argv, flagged, digest):
+        flags = ["--threshold-range", "ge:1.5", "--first-step", "ge:0.5"]
+        code, out, err = run_cli(capsys, *argv, "--trace", *(flags if flagged else []))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
 
 class TestDot:
     def test_bipartite_clusters(self, capsys):
@@ -443,6 +505,22 @@ class TestRepeatedCalls:
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert main(["never-heard-of-it"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--fixture", "ex_1_2_1"],
+            ["run", "--fixture", "ex_1_2_1", "--on", "a1"],
+            ["dot", "--fixture", "ex_1_2_1"],
+        ],
+        ids=["validate", "run", "dot"],
+    )
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        assert code == 2
+        assert err.startswith("error: cannot write output: ") and out == ""
+        assert not target.exists()
 
     def test_unknown_fixture_choice(self, capsys):
         assert main(["validate", "--fixture", "nope"]) == 2

@@ -39,6 +39,8 @@ def test_star_import():
         ("dynamics", "unit_seed"),
         ("models", "_expected_kind"),
         ("model_io", "_policy_dict"),
+        ("models", "PolicyOverrides"),
+        ("model_io", "_rule_json"),
     ],
 )
 def test_removed_names_stay_removed(module, name):
@@ -46,3 +48,8 @@ def test_removed_names_stay_removed(module, name):
     # Partition, SuperMatrix and SuperVector
     assert not hasattr(importlib.import_module(f"fuzzymaps.{module}"), name)
     assert not hasattr(fuzzymaps, name)
+
+
+def test_threshold_rule_has_no_apply():
+    # thresholding is apply_threshold's alone
+    assert not hasattr(fuzzymaps.ThresholdRule, "apply")

@@ -381,7 +381,47 @@ def _matrices(draw):
     return draw(st.lists(row, min_size=n_rows, max_size=n_rows))
 
 
+@st.composite
+def _policies(draw):
+    cmps = st.sampled_from(("ge", "gt"))
+    rules = [ThresholdRule(draw(cmps), draw(_entries)) for _ in range(3)]
+    mode = draw(st.sampled_from(("auto", "always", "never")))
+    return ThresholdPolicy(*rules, first_step_mode=mode)
+
+
+def _rule_text(rule: ThresholdRule) -> str:
+    c = rule.cutoff
+    cutoff = json.dumps(int(c) if c.is_integer() else c)
+    return f'"cmp": "{rule.comparator.value}", "cutoff": {cutoff}'
+
+
 class TestGeneratedRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(_policies())
+    def test_policy_lines_round_trip(self, policy):
+        spec = ModelSpec(
+            name="generated",
+            kind="frm",
+            domain_labels=(("x",),),
+            range_labels=(("y",),),
+            matrix=SuperMatrix.simple([[1.0]]),
+            entry_domain="unrestricted",
+            policy=policy,
+        )
+        doc = serialize_model(spec)
+        assert parse_model(doc).policy == policy
+        assert serialize_model(parse_model(doc)) == doc
+        lines = doc.splitlines()
+        start = lines.index('  "policy": {') + 1
+        mode = policy.first_step_mode.value
+        assert lines[start : start + 4] == [
+            f'    "domain": {{{_rule_text(policy.domain_rule)}}},',
+            f'    "range": {{{_rule_text(policy.range_rule)}}},',
+            f'    "first_step": {{"mode": "{mode}", '
+            f"{_rule_text(policy.first_step_rule)}}}",
+            "  }",
+        ]
+
     @settings(max_examples=200, deadline=None)
     @given(_matrices())
     def test_canonical_text_round_trips_and_matches_num(self, rows):

@@ -11,7 +11,6 @@ from fuzzymaps import (
     ModelKind,
     ModelSpec,
     Partition,
-    PolicyOverrides,
     Side,
     StateVector,
     SuperMatrix,
@@ -144,6 +143,19 @@ class TestValidate:
             f"entry_domain at matrix[0][1]: entry {value:g} outside {domain.value}"
         ]
 
+    @pytest.mark.parametrize(
+        "domain, value, text",
+        [
+            (EntryDomain.FUZZY_UNIT, 1.0000000000000002, "1.0000000000000002"),
+            (EntryDomain.SIGNED_UNIT, 1e20, "100000000000000000000"),
+        ],
+    )
+    def test_entry_named_by_its_exact_value(self, domain, value, text):
+        bad = tiny_spec(matrix=SuperMatrix.simple([[value]]), entry_domain=domain)
+        assert [str(d) for d in validate_model(bad)] == [
+            f"entry_domain at matrix[0][0]: entry {text} outside {domain.value}"
+        ]
+
     @pytest.mark.parametrize("field", ["domain_rule", "range_rule", "first_step_rule"])
     @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_cutoff_refused(self, field, cutoff):
@@ -237,7 +249,7 @@ class TestRunModel:
         assert calls == ["sec_2_4"]
         seed = seed_from_labels(spec, {"T7"}, Side.DOMAIN)
         run_model(spec, seed)
-        run_model(spec, seed, overrides=PolicyOverrides(first_step_mode="never"))
+        run_model(spec, seed, replace(spec.policy, first_step_mode="never"))
         assert calls == ["sec_2_4"]
         bad = tiny_spec(matrix=SuperMatrix.simple([[2.0]]))
         seed = StateVector((1,), Side.DOMAIN, Partition([1]))
@@ -253,7 +265,8 @@ class TestRunModel:
         overridden = run_model(
             spec,
             seed,
-            overrides=PolicyOverrides(
+            replace(
+                spec.policy,
                 domain_rule=spec.policy.domain_rule,
                 range_rule=spec.policy.range_rule,
                 first_step_rule=spec.policy.first_step_rule,
@@ -265,7 +278,8 @@ class TestRunModel:
 
 _ENTRY_POINTS = {
     "run_model": lambda spec, policy, seed: run_model(
-        spec, seed, overrides=PolicyOverrides(
+        spec, seed, replace(
+            spec.policy,
             domain_rule=policy.domain_rule,
             range_rule=policy.range_rule,
             first_step_rule=policy.first_step_rule,
@@ -304,8 +318,8 @@ class TestNonFiniteCutoff:
     def test_finite_override_still_runs(self):
         spec = load_fixture("sec_2_4")
         seed = seed_from_labels(spec, {"T7"}, Side.DOMAIN)
-        overrides = PolicyOverrides(range_rule=ThresholdRule("gt", 1e300))
-        d, r = run_model(spec, seed, overrides=overrides).fixed_pair
+        policy = replace(spec.policy, range_rule=ThresholdRule("gt", 1e300))
+        d, r = run_model(spec, seed, policy).fixed_pair
         assert r.bits == (0,) * len(r)
 
 
