@@ -123,7 +123,7 @@ def _resolve_tokens(
 ) -> list[int]:
     labels = spec.labels_flat(side)
     part = spec.side_partition(side)
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = spec.label_index(side)
     out = []
     for tok in tokens:
         if tok in index:
@@ -206,11 +206,14 @@ def _cmd_validate(args) -> int:
     try:
         spec = _load_spec(args)
     except (ModelSyntaxError, ModelSchemaError, ModelValidationError) as e:
+        # the diagnosis first: an unwritable -o then still reports it
+        print(f"invalid model: {e}", file=sys.stderr)
         if args.json:
             _emit(json.dumps({"valid": False, "error": str(e)}, indent=2) + "\n", args)
-        print(f"invalid model: {e}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     diags = spec.diagnostics
+    for d in diags:
+        print(str(d), file=sys.stderr)
     if args.json:
         payload = {
             "valid": not diags,
@@ -222,8 +225,6 @@ def _cmd_validate(args) -> int:
         }
         _emit(json.dumps(payload, indent=2) + "\n", args)
     if diags:
-        for d in diags:
-            print(str(d), file=sys.stderr)
         return EXIT_INVALID_MODEL
     if not args.json:
         d = describe(spec)

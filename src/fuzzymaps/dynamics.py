@@ -13,6 +13,7 @@ the same state repeatedly against a square matrix.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -178,6 +179,15 @@ class ThresholdPolicy:
         return seed.count_on == 1
 
 
+def _filled(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, with
+    no checks: one update of its ``__dict__`` costs about half of
+    ``__init__``, which sets each field through ``object.__setattr__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _plain(x: float) -> "int | float":
     """``x`` as an ``int`` when integral, else as a ``float``."""
     f = float(x)
@@ -215,11 +225,7 @@ class StateVector:
         cls, bits: tuple[int, ...], side: Side, partition: Partition
     ) -> "StateVector":
         """Build without checks from 0/1 ints, one per partition node."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "bits", bits)
-        object.__setattr__(state, "side", side)
-        object.__setattr__(state, "partition", partition)
-        return state
+        return _filled(cls, bits=bits, side=side, partition=partition)
 
     @classmethod
     def zeros(cls, side: Side, partition: Partition) -> "StateVector":
@@ -453,129 +459,198 @@ def run_hidden_pattern(
     the one :func:`step` computes; the trace holds its records.
     """
     _check_run(matrix, seed, policy, max_steps, one_sided)
-    return _run(matrix, seed, policy, max_steps, one_sided, record_trace)
+    (pattern,) = _run(
+        matrix,
+        np.array([seed.bits], dtype=bool),
+        seed.side,
+        policy,
+        policy.first_step_applies(seed, 1),
+        max_steps,
+        one_sided,
+        record_trace,
+    )
+    if pattern is None:
+        raise StepLimitExceeded(
+            f"no seed-side state recurred within {max_steps} products; "
+            "raise max_steps (--max-steps) to run longer"
+        )
+    return pattern
 
 
 def _run(
     matrix: SuperMatrix,
-    seed: StateVector,
+    seeds: np.ndarray,
+    side: Side,
     policy: ThresholdPolicy,
+    first: bool,
     max_steps: int,
     one_sided: bool,
     record_trace: bool,
-) -> HiddenPattern:
-    """The engine core: iterate on uint8 arrays, build objects on return.
+) -> list[Optional[HiddenPattern]]:
+    """The engine core: run a (B x n) boolean block of seeds in lockstep.
 
-    A product is one matmul on the frozen entries (``x @ M`` from a domain
-    state, ``M @ x`` from a range state, as :func:`special_product`), one
-    compare against the cutoff and, on the seed's side, ``| seed``.  Each
-    seed-side state is keyed by its packed bits; the first key seen twice
-    closes the pattern.
+    Every row is a seed on ``side``; ``first`` says whether the policy's
+    first-step rule thresholds the block's first product.  A product is one
+    matmul of the live rows, one compare against the cutoff and, on the
+    seed's side, ``| seeds`` of the live rows.  The block is held as
+    (B x 1 x n), so the matmul runs each row as its own ``x @ M`` (``M @
+    x`` backward), the product :func:`special_product` computes, and a
+    row's raw sums do not depend on the rows beside it: one matrix product
+    of the whole block would add fuzzy entries in another order.  Each row
+    keys its seed-side states by their packed bits in a dict of its own, in
+    round order; the first key a row sees twice closes its pattern and
+    drops the row from the block.  Opposite-side states are kept as the
+    blocks they were produced in.  Objects are built only when a row
+    closes: one pattern per row, ``None`` where no seed-side state recurred
+    within ``max_steps`` products.
     """
-    entries = matrix.entries
-    seed_side = seed.side
-    seed_bits = np.array(seed.bits, dtype=np.uint8)
+    # ``x @ grid`` from a state on the seed's side
+    grid = matrix.entries if one_sided or side is Side.DOMAIN else matrix.entries.T
 
-    def move(forward: bool, produced: Side, rule: ThresholdRule):
-        return forward, produced, rule, rule.compare, rule.cutoff, produced is seed_side
+    def move(grid: np.ndarray, produced: Side, rule: ThresholdRule):
+        return grid, produced, rule, rule.compare, rule.cutoff, produced is side
 
+    sides = (side, _side_partition(matrix, side))
     if one_sided:
-        moves = [move(True, seed_side, policy.rule_for(seed_side))]
+        moves = [move(grid, side, policy.rule_for(side))]
     else:
-        opp_side = seed_side.opposite
+        opp_side = side.opposite
+        sides += (opp_side, _side_partition(matrix, opp_side))
         moves = [
-            move(seed_side is Side.DOMAIN, opp_side, policy.rule_for(opp_side)),
-            move(opp_side is Side.DOMAIN, seed_side, policy.rule_for(seed_side)),
+            move(grid, opp_side, policy.rule_for(opp_side)),
+            move(grid.T, side, policy.rule_for(side)),
         ]
-    first = moves[0]
-    if policy.first_step_applies(seed, 1):
-        first = move(*first[:2], policy.first_step_rule)
-    schedule = itertools.chain([first], itertools.cycle(moves[1:] + moves[:1]))
+    opening = moves[0]
+    if first:
+        opening = move(*opening[:2], policy.first_step_rule)
+    schedule = itertools.chain([opening], itertools.cycle(moves[1:] + moves[:1]))
 
+    patterns: list[Optional[HiddenPattern]] = [None] * seeds.shape[0]
+    width = -(-seeds.shape[1] // 8)  # bytes in a row's packed bits
+    rows = list(range(seeds.shape[0]))  # each live row's index in ``seeds``
+    seen: list[dict[bytes, None]] = [{} for _ in rows]
+    # per product, (produced, rule, raw, bits, state, rows) when tracing, and
+    # per round, (opposite-side state, rows) on two-sided runs
     trace: list = []
-    # per completed round: (seed-side bits, opposite-side bits of the round)
-    rounds: list[tuple[np.ndarray, Optional[np.ndarray]]] = []
-    visited: dict[bytes, int] = {}  # packed seed-side bits -> 1-based round
-    state, opp = seed_bits, None
-    for forward, produced, rule, compare, cutoff, forced in itertools.islice(
+    opps: list = []
+    state = seeds = seeds[:, None]
+    for grid, produced, rule, compare, cutoff, forced in itertools.islice(
         schedule, max_steps
     ):
-        raw = state @ entries if forward else entries @ state
-        bits = compare(raw, cutoff).view(np.uint8)
-        state = bits | seed_bits if forced else bits
+        raw = np.matmul(state, grid)
+        bits = compare(raw, cutoff)
+        state = bits | seeds if forced else bits
         if record_trace:
-            trace.append((produced, raw, bits, state, rule))
+            trace.append((produced, rule, raw, bits, state, rows))
         if not forced:
-            opp = state
+            opps.append((state, rows))
             continue
-        rounds.append((state, opp))
-        key = np.packbits(state).tobytes()
-        j = visited.get(key)
-        if j is None:
-            visited[key] = len(rounds)
+        packed = np.packbits(state, axis=-1).tobytes()
+        done = []
+        for p, visited in enumerate(seen):
+            k = packed[p * width : (p + 1) * width]
+            if k in visited:
+                done.append((p, k))
+            else:
+                visited[k] = None
+        if not done:
             continue
-        period = len(rounds) - j
-        return HiddenPattern(
-            kind=PatternKind.of_period(period),
-            period=period,
-            pair_sequence=_pairs(matrix, rounds, j, period, seed_side, one_sided),
-            steps_to_enter=j - 1,
-            trace=_records(trace) if record_trace else None,
-        )
-    raise StepLimitExceeded(
-        f"no seed-side state recurred within {max_steps} products; "
-        "raise max_steps (--max-steps) to run longer"
-    )
+        for p, k in done:
+            patterns[rows[p]] = _pattern(
+                sides, rows[p], seen[p], k, state[p, 0], opps, trace
+            )
+        if len(done) == len(rows):
+            break
+        closed = {p for p, _ in done}
+        keep = [p for p in range(len(rows)) if p not in closed]
+        state, seeds = state[keep], seeds[keep]
+        rows = [rows[p] for p in keep]
+        seen = [seen[p] for p in keep]
+    return patterns
 
 
-def _records(trace: list) -> tuple[StepRecord, ...]:
-    return tuple(
-        StepRecord(
-            step_index=k,
-            produced_side=produced,
-            raw=tuple(raw.tolist()),
-            thresholded=tuple(bits.tolist()),
-            after_update=tuple(state.tolist()),
-            rule_applied=rule,
-        )
-        for k, (produced, raw, bits, state, rule) in enumerate(trace, 1)
-    )
+def _with_row(history: list, row: int):
+    """Each entry of ``history`` with ``row``'s index in the entry's block;
+    the last field of an entry lists the rows of its block, in order."""
+    live, p = None, 0
+    for entry in history:
+        if entry[-1] is not live:
+            live = entry[-1]
+            p = bisect.bisect_left(live, row)
+        yield entry, p
 
 
-def _pairs(
-    matrix: SuperMatrix,
-    rounds: Sequence[tuple[np.ndarray, Optional[np.ndarray]]],
-    j: int,
-    period: int,
-    seed_side: Side,
-    one_sided: bool,
-) -> tuple[tuple[StateVector, StateVector], ...]:
-    """Assemble (domain, range) pairs for the cycle rounds j .. j+period-1.
+def _pattern(
+    sides: tuple,
+    row: int,
+    seen: dict[bytes, None],
+    key: bytes,
+    last: np.ndarray,
+    opps: list,
+    trace: list,
+) -> HiddenPattern:
+    """The pattern of ``row``, whose seed-side state ``last``, packed as
+    ``key``, recurred in the current round r.
 
-    ``rounds`` holds the completed rounds 1 .. j+period, the last one the
-    round whose seed-side state closed the cycle.
+    ``sides`` holds the seed's side and its partition, followed on
+    two-sided runs by the opposite side and its partition.  ``seen`` holds
+    the packed seed-side states of rounds 1 .. r - 1, and ``opps`` the
+    opposite-side states of rounds 1 .. r.
     """
-    def state(bits: np.ndarray, side: Side) -> StateVector:
-        return StateVector._trusted(
-            tuple(bits.tolist()), side, _side_partition(matrix, side)
-        )
+    side, part = sides[:2]
+    keys = list(seen)
+    j = keys.index(key) + 1
+    period = len(keys) + 1 - j
+    # the seed-side states of rounds j .. r, where round r repeats round j
+    states = [tuple(last.tobytes())]
+    if period > 1:
+        grid = np.frombuffer(b"".join(keys[j:]), np.uint8).reshape(period - 1, -1)
+        states += np.unpackbits(grid, axis=1, count=part.total).tolist()
+    if len(sides) > 2 and side is Side.RANGE:
+        # a round runs backward into d then forward into v, so both members
+        # of a pair come from the same round j+t+1
+        states = states[1:] + states[:1]
+    states = [StateVector._trusted(tuple(bits), side, part) for bits in states]
+    if len(sides) == 2:
+        pairs = tuple((v, v) for v in states)
+    else:
+        # the opposite-side states of rounds j+1 .. j+period
+        opp_side, opp_part = sides[2:]
+        opp = [
+            StateVector._trusted(tuple(block[p, 0].tobytes()), opp_side, opp_part)
+            for (block, _), p in _with_row(opps[j:], row)
+        ]
+        # a round from a domain state v_{j+t} ends in the range state of
+        # round j+t+1
+        pairs = tuple(zip(states, opp) if side is Side.DOMAIN else zip(opp, states))
+    return _filled(
+        HiddenPattern,
+        kind=PatternKind.of_period(period),
+        period=period,
+        pair_sequence=pairs,
+        steps_to_enter=j - 1,
+        trace=_records(trace, row) if trace else None,
+    )
 
-    pairs: list[tuple[StateVector, StateVector]] = []
-    for t in range(period):
-        v_bits, _ = rounds[j - 1 + t]  # round j+t
-        v_next, opp_next = rounds[j + t]  # round j+t+1
-        if one_sided:
-            v = state(v_bits, seed_side)
-            pairs.append((v, v))
-        elif seed_side is Side.DOMAIN:
-            # a round maps v (domain) forward to the next round's opposite
-            # state, so v_{j+t} pairs with the range state of round j+t+1
-            pairs.append((state(v_bits, Side.DOMAIN), state(opp_next, Side.RANGE)))
-        else:
-            # a round runs backward into d then forward into v, so both
-            # members of a pair come from the same round j+t+1
-            pairs.append((state(opp_next, Side.DOMAIN), state(v_next, Side.RANGE)))
-    return tuple(pairs)
+
+def _records(trace: list, row: int) -> tuple[StepRecord, ...]:
+    """``row``'s record of every product so far."""
+    out = []
+    for k, ((produced, rule, raw, bits, state, _), p) in enumerate(
+        _with_row(trace, row), 1
+    ):
+        out.append(
+            _filled(
+                StepRecord,
+                step_index=k,
+                produced_side=produced,
+                raw=tuple(raw[p, 0].tolist()),
+                thresholded=tuple(bits[p, 0].tobytes()),
+                after_update=tuple(state[p, 0].tobytes()),
+                rule_applied=rule,
+            )
+        )
+    return tuple(out)
 
 
 def sweep_unit_seeds(
@@ -586,15 +661,29 @@ def sweep_unit_seeds(
     one_sided: bool = False,
     record_trace: bool = False,
 ) -> tuple[tuple[int, HiddenPattern], ...]:
-    """Run every unit vector on ``side``, in index order."""
+    """Run every unit vector on ``side``, in index order, as one block."""
     side = Side(side)
     part = _side_partition(matrix, side)
-    seeds = [StateVector.from_on_indices([i], side, part) for i in range(part.total)]
-    _check_run(matrix, seeds[0], policy, max_steps, one_sided)  # all share one shape
-    return tuple(
-        (i, _run(matrix, seed, policy, max_steps, one_sided, record_trace))
-        for i, seed in enumerate(seeds)
+    unit = StateVector.from_on_indices([0], side, part)
+    _check_run(matrix, unit, policy, max_steps, one_sided)  # all share one shape
+    patterns = _run(
+        matrix,
+        np.eye(part.total, dtype=bool),
+        side,
+        policy,
+        policy.first_step_applies(unit, 1),  # every row has one on-coordinate
+        max_steps,
+        one_sided,
+        record_trace,
     )
+    missing = [i for i, pattern in enumerate(patterns) if pattern is None]
+    if missing:
+        raise StepLimitExceeded(
+            f"no seed-side state recurred within {max_steps} products for "
+            f"{len(missing)} of {part.total} unit seeds (lowest index "
+            f"{missing[0]}); raise max_steps (--max-steps) to run longer"
+        )
+    return tuple(enumerate(patterns))
 
 
 # --- exhaustive enumeration ------------------------------------------------

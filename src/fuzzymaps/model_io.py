@@ -105,7 +105,13 @@ class _Memo(dict):
 
 
 def serialize_model(spec: ModelSpec) -> str:
-    """Canonical document text for ``spec`` (stable bytes, LF endings)."""
+    """Canonical document text for ``spec`` (stable bytes, LF endings).
+
+    An invalid ``spec`` raises :class:`ModelValidationError`, as
+    :func:`parse_model` would on the text: a non-finite number has no JSON
+    text.  A parsed spec keeps its diagnostics, so this validates nothing.
+    """
+    spec.require_valid()
     lines: list[str] = ["{"]
     lines.append(f'  "format_version": {FORMAT_VERSION},')
     lines.append(f'  "name": {_jstr(spec.name)},')

@@ -83,11 +83,31 @@ class ModelSpec:
     def one_sided(self) -> bool:
         return self.kind is ModelKind.FCM
 
+    @cached_property
+    def _flat_labels(self) -> dict[Side, tuple[str, ...]]:
+        return {
+            side: tuple(label for blk in blocks for label in blk)
+            for side, blocks in (
+                (Side.DOMAIN, self.domain_labels),
+                (Side.RANGE, self.range_labels),
+            )
+        }
+
+    @cached_property
+    def _label_indices(self) -> dict[Side, dict[str, int]]:
+        return {
+            side: {label: i for i, label in enumerate(flat)}
+            for side, flat in self._flat_labels.items()
+        }
+
     def labels_flat(self, side: Side) -> tuple[str, ...]:
-        blocks = (
-            self.domain_labels if Side(side) is Side.DOMAIN else self.range_labels
-        )
-        return tuple(label for blk in blocks for label in blk)
+        """One side's labels in node order, built on first read only."""
+        return self._flat_labels[Side(side)]
+
+    def label_index(self, side: Side) -> dict[str, int]:
+        """One side's node index by label, built on first read only; the
+        caller must not change it."""
+        return self._label_indices[Side(side)]
 
     def side_partition(self, side: Side) -> Partition:
         return (
@@ -229,9 +249,8 @@ def seed_from_labels(
 ) -> StateVector:
     """Binary state with exactly the named coordinates on (set semantics)."""
     side = Side(side)
-    flat = spec.labels_flat(side)
-    other = spec.labels_flat(side.opposite)
-    index = {label: i for i, label in enumerate(flat)}
+    index = spec.label_index(side)
+    other = spec.label_index(side.opposite)
     on: set[int] = set()
     for label in labels:
         if label in index:

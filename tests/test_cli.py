@@ -112,6 +112,21 @@ class TestValidate:
         assert code == 3
         assert "matrix[0][0]: entry 1.0000000000000002 outside fuzzy_unit" in err
 
+    @pytest.mark.parametrize("flags, code", [([], 3), (["--json"], 2)])
+    def test_diagnosis_printed_before_the_output_is_written(
+        self, capsys, tmp_path, flags, code
+    ):
+        doc = json.loads(fixture_text("ex_1_2_1"))
+        doc["matrix"][0][0] = 2
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        target = tmp_path / "missing" / "x"
+        got, out, err = run_cli(capsys, "validate", str(path), *flags, "-o", str(target))
+        # an unwritable -o is still a usage error, after the diagnosis
+        assert got == code and out == ""
+        assert err.startswith("invalid model: ") and "matrix[0][0]: entry 2" in err
+        assert ("error: cannot write output: " in err) is bool(flags)
+
     def test_json_output(self, capsys):
         code, out, err = run_cli(
             capsys, "validate", "--fixture", "ex_1_2_2", "--json"

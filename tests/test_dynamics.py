@@ -43,7 +43,7 @@ from fuzzymaps.errors import (
     StepLimitExceeded,
 )
 
-from _util import bits, canonical, pattern_cycle_masks, seed_state
+from _util import bits, canonical, pattern_cycle_masks, seed_state, stepped_pattern
 
 GT0 = ThresholdRule(Comparator.GT, 0)
 GE2 = ThresholdRule(Comparator.GE, 2)
@@ -444,11 +444,81 @@ class TestEngineCore:
                     spec.matrix, side, spec.policy, record_trace=trace
                 )
                 assert [i for i, _ in rows] == list(range(part.total))
+                # rows leave the block at different products
+                assert len({hp.steps_to_enter + hp.period for _, hp in rows}) > 1
                 for i, hp in rows:
                     seed = StateVector.from_on_indices([i], side, part)
                     assert hp == run_hidden_pattern(
                         spec.matrix, seed, spec.policy, record_trace=trace
                     )
+                    assert hp == stepped_pattern(spec.matrix, seed, spec.policy, False, trace)
+
+
+def _path(n: int, backward: bool = False) -> SuperMatrix:
+    """A one-sided chain: node i excites i + 1 (i - 1 when ``backward``)."""
+    entries = np.eye(n, k=-1 if backward else 1)
+    return SuperMatrix.simple(entries)
+
+
+class TestLockstepSweep:
+    """``sweep_unit_seeds`` runs its seeds as one block; rows leave it as
+    their patterns close."""
+
+    def test_rows_finish_at_many_rounds(self):
+        m = _path(9)
+        rows = sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        # seed i lights one more node a round until node 8 is on
+        assert [hp.steps_to_enter for _, hp in rows] == [max(7 - i, 0) for i in range(9)]
+        for i, hp in rows:
+            seed = seed_state(1 << i, Side.DOMAIN, m.row_partition)
+            assert hp == stepped_pattern(m, seed, GT0_POLICY, True, False)
+            assert hp.fixed_pair[0].bits == (0,) * i + (1,) * (9 - i)
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_max_steps_boundary(self, backward):
+        m = _path(7, backward)
+        rows = sweep_unit_seeds(
+            m, Side.DOMAIN, GT0_POLICY, one_sided=True, record_trace=True
+        )
+        k = max(len(hp.trace) for _, hp in rows)
+        slowest = [i for i, hp in rows if len(hp.trace) == k]
+        assert slowest == [6 if backward else 0]
+        capped = sweep_unit_seeds(
+            m, Side.DOMAIN, GT0_POLICY, max_steps=k, one_sided=True, record_trace=True
+        )
+        assert capped == rows
+        with pytest.raises(
+            StepLimitExceeded,
+            match=rf"within {k - 1} products for 1 of 7 unit seeds "
+            rf"\(lowest index {slowest[0]}\)",
+        ):
+            sweep_unit_seeds(
+                m, Side.DOMAIN, GT0_POLICY, max_steps=k - 1, one_sided=True
+            )
+        # a single run's message names no seeds
+        seed = seed_state(1 << slowest[0], Side.DOMAIN, m.row_partition)
+        with pytest.raises(StepLimitExceeded) as single:
+            run_hidden_pattern(m, seed, GT0_POLICY, max_steps=k - 1, one_sided=True)
+        assert str(single.value) == (
+            f"no seed-side state recurred within {k - 1} products; "
+            "raise max_steps (--max-steps) to run longer"
+        )
+
+    def test_step_limit_counts_the_seeds_left(self):
+        m = _path(8, backward=True)
+        cap = 4
+        lengths = [
+            len(stepped_pattern(m, seed_state(1 << i, Side.DOMAIN, m.row_partition),
+                                GT0_POLICY, True).trace)
+            for i in range(8)
+        ]
+        left = [i for i, k in enumerate(lengths) if k > cap]
+        assert 1 < len(left) < 8
+        with pytest.raises(StepLimitExceeded) as info:
+            sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY, max_steps=cap, one_sided=True)
+        assert f"for {len(left)} of 8 unit seeds (lowest index {left[0]})" in str(
+            info.value
+        )
 
 
 def _random_rule(rng) -> ThresholdRule:
@@ -840,6 +910,56 @@ def matrices_with_vectors(draw):
     x = draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows))
     y = draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows))
     return m, np.array(x, float), np.array(y, float)
+
+
+def _split(draw, total: int) -> Partition:
+    cuts = draw(st.sets(st.integers(1, total - 1), max_size=3)) if total > 1 else set()
+    bounds = [0, *sorted(cuts), total]
+    return Partition([b - a for a, b in zip(bounds, bounds[1:])])
+
+
+@st.composite
+def engine_cases(draw):
+    one_sided = draw(st.booleans())
+    rows = draw(st.integers(1, 9))
+    cols = rows if one_sided else draw(st.integers(1, 9))
+    values = draw(st.sampled_from([TERNARY, FUZZY]))
+    entries = draw(
+        st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols)
+    )
+    rule = st.builds(
+        ThresholdRule, st.sampled_from(list(Comparator)), st.sampled_from(CUTOFFS)
+    )
+    policy = ThresholdPolicy(
+        draw(rule), draw(rule), draw(rule), draw(st.sampled_from(list(FirstStepMode)))
+    )
+    m = SuperMatrix(
+        np.array(entries).reshape(rows, cols), _split(draw, rows), _split(draw, cols)
+    )
+    side = draw(st.sampled_from(list(Side)))
+    return m, side, policy, one_sided, draw(st.booleans())
+
+
+@given(engine_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sweep_equals_stepped_reference(case, data):
+    m, side, policy, one_sided, trace = case
+    part = m.row_partition if side is Side.DOMAIN else m.col_partition
+    expected = [
+        stepped_pattern(m, seed_state(1 << i, side, part), policy, one_sided, trace)
+        for i in range(part.total)
+    ]
+    if None in expected:
+        with pytest.raises(StepLimitExceeded):
+            sweep_unit_seeds(m, side, policy, one_sided=one_sided)
+        return
+    rows = sweep_unit_seeds(m, side, policy, one_sided=one_sided, record_trace=trace)
+    assert rows == tuple(enumerate(expected))
+    # one run, a block of one row, from any seed
+    seed = seed_state(data.draw(st.integers(0, (1 << part.total) - 1)), side, part)
+    assert run_hidden_pattern(
+        m, seed, policy, one_sided=one_sided, record_trace=trace
+    ) == stepped_pattern(m, seed, policy, one_sided, trace)
 
 
 @given(matrices_with_vectors())

@@ -395,6 +395,20 @@ def _rule_text(rule: ThresholdRule) -> str:
     return f'"cmp": "{rule.comparator.value}", "cutoff": {cutoff}'
 
 
+def test_serialize_refuses_an_invalid_spec():
+    spec = ModelSpec(
+        name="inf",
+        kind="frm",
+        domain_labels=(("x",),),
+        range_labels=(("y", "z"),),
+        matrix=SuperMatrix.simple([[float("inf"), 1.0]]),
+        entry_domain="unrestricted",
+        policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("gt", 0)),
+    )
+    with pytest.raises(ModelValidationError, match=r"matrix\[0\]\[0\]: entry inf"):
+        serialize_model(spec)
+
+
 class TestGeneratedRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(_policies())
