@@ -13,7 +13,6 @@ the same state repeatedly against a square matrix.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -485,7 +484,7 @@ def _run(
     first: bool,
     max_steps: int,
     one_sided: bool,
-    record_trace: bool,
+    record_trace: bool = False,
 ) -> list[Optional[HiddenPattern]]:
     """The engine core: run a (B x n) boolean block of seeds in lockstep.
 
@@ -497,12 +496,13 @@ def _run(
     x`` backward), the product :func:`special_product` computes, and a
     row's raw sums do not depend on the rows beside it: one matrix product
     of the whole block would add fuzzy entries in another order.  Each row
-    keys its seed-side states by their packed bits in a dict of its own, in
-    round order; the first key a row sees twice closes its pattern and
-    drops the row from the block.  Opposite-side states are kept as the
-    blocks they were produced in.  Objects are built only when a row
-    closes: one pattern per row, ``None`` where no seed-side state recurred
-    within ``max_steps`` products.
+    keeps a dict of its own, in round order, from each round's packed
+    seed-side state to the same round's packed opposite-side state
+    (``None`` on one-sided runs); the first key a row sees twice closes its
+    pattern and drops the row from the block.  Only a block of one row may
+    record a trace.  Objects are built only when a row closes: one pattern
+    per row, ``None`` where no seed-side state recurred within
+    ``max_steps`` products.
     """
     # ``x @ grid`` from a state on the seed's side
     grid = matrix.entries if one_sided or side is Side.DOMAIN else matrix.entries.T
@@ -510,12 +510,10 @@ def _run(
     def move(grid: np.ndarray, produced: Side, rule: ThresholdRule):
         return grid, produced, rule, rule.compare, rule.cutoff, produced is side
 
-    sides = (side, _side_partition(matrix, side))
     if one_sided:
         moves = [move(grid, side, policy.rule_for(side))]
     else:
         opp_side = side.opposite
-        sides += (opp_side, _side_partition(matrix, opp_side))
         moves = [
             move(grid, opp_side, policy.rule_for(opp_side)),
             move(grid.T, side, policy.rule_for(side)),
@@ -526,13 +524,13 @@ def _run(
     schedule = itertools.chain([opening], itertools.cycle(moves[1:] + moves[:1]))
 
     patterns: list[Optional[HiddenPattern]] = [None] * seeds.shape[0]
-    width = -(-seeds.shape[1] // 8)  # bytes in a row's packed bits
+    width, opp_width = (-(-k // 8) for k in grid.shape)  # bytes in a packed row
     rows = list(range(seeds.shape[0]))  # each live row's index in ``seeds``
-    seen: list[dict[bytes, None]] = [{} for _ in rows]
-    # per product, (produced, rule, raw, bits, state, rows) when tracing, and
-    # per round, (opposite-side state, rows) on two-sided runs
-    trace: list = []
-    opps: list = []
+    seen: list[dict[bytes, Optional[bytes]]] = [{} for _ in rows]
+    # the live rows' opposite-side states of the current round, as a block
+    # and packed; None on one-sided runs
+    opp_block = opposite = None
+    trace: list = []  # per product, (produced, rule, raw, bits, state)
     state = seeds = seeds[:, None]
     for grid, produced, rule, compare, cutoff, forced in itertools.islice(
         schedule, max_steps
@@ -541,116 +539,102 @@ def _run(
         bits = compare(raw, cutoff)
         state = bits | seeds if forced else bits
         if record_trace:
-            trace.append((produced, rule, raw, bits, state, rows))
-        if not forced:
-            opps.append((state, rows))
-            continue
+            trace.append((produced, rule, raw, bits, state))
         packed = np.packbits(state, axis=-1).tobytes()
-        done = []
+        if not forced:
+            opp_block, opposite = state, packed
+            continue
+        done = {}  # the rows whose key repeats, and the key
         for p, visited in enumerate(seen):
             k = packed[p * width : (p + 1) * width]
             if k in visited:
-                done.append((p, k))
+                done[p] = k
             else:
-                visited[k] = None
+                visited[k] = opposite and opposite[p * opp_width : (p + 1) * opp_width]
         if not done:
             continue
-        for p, k in done:
+        for p, k in done.items():
+            opp = None if opp_block is None else opp_block[p, 0]
             patterns[rows[p]] = _pattern(
-                sides, rows[p], seen[p], k, state[p, 0], opps, trace
+                matrix, side, seen[p], k, state[p, 0], opp, trace
             )
         if len(done) == len(rows):
             break
-        closed = {p for p, _ in done}
-        keep = [p for p in range(len(rows)) if p not in closed]
+        keep = [p for p in range(len(rows)) if p not in done]
         state, seeds = state[keep], seeds[keep]
         rows = [rows[p] for p in keep]
         seen = [seen[p] for p in keep]
     return patterns
 
 
-def _with_row(history: list, row: int):
-    """Each entry of ``history`` with ``row``'s index in the entry's block;
-    the last field of an entry lists the rows of its block, in order."""
-    live, p = None, 0
-    for entry in history:
-        if entry[-1] is not live:
-            live = entry[-1]
-            p = bisect.bisect_left(live, row)
-        yield entry, p
-
-
 def _pattern(
-    sides: tuple,
-    row: int,
-    seen: dict[bytes, None],
+    matrix: SuperMatrix,
+    side: Side,
+    seen: dict[bytes, Optional[bytes]],
     key: bytes,
     last: np.ndarray,
-    opps: list,
+    opp: Optional[np.ndarray],
     trace: list,
 ) -> HiddenPattern:
-    """The pattern of ``row``, whose seed-side state ``last``, packed as
+    """The pattern of a row whose seed-side state ``last``, packed as
     ``key``, recurred in the current round r.
 
-    ``sides`` holds the seed's side and its partition, followed on
-    two-sided runs by the opposite side and its partition.  ``seen`` holds
-    the packed seed-side states of rounds 1 .. r - 1, and ``opps`` the
-    opposite-side states of rounds 1 .. r.
+    ``seen`` maps the row's packed seed-side states of rounds 1 .. r - 1 to
+    the packed opposite-side states of the same rounds, and ``opp`` is round
+    r's opposite-side state; all are ``None`` on one-sided runs.
     """
-    side, part = sides[:2]
     keys = list(seen)
     j = keys.index(key) + 1
     period = len(keys) + 1 - j
-    # the seed-side states of rounds j .. r, where round r repeats round j
-    states = [tuple(last.tobytes())]
-    if period > 1:
-        grid = np.frombuffer(b"".join(keys[j:]), np.uint8).reshape(period - 1, -1)
-        states += np.unpackbits(grid, axis=1, count=part.total).tolist()
-    if len(sides) > 2 and side is Side.RANGE:
-        # a round runs backward into d then forward into v, so both members
-        # of a pair come from the same round j+t+1
-        states = states[1:] + states[:1]
-    states = [StateVector._trusted(tuple(bits), side, part) for bits in states]
-    if len(sides) == 2:
-        pairs = tuple((v, v) for v in states)
+    # the seed-side states of rounds j+1 .. r, where round r repeats round j
+    states = _states(keys[j:], last, side, matrix)
+    if opp is None or side is Side.DOMAIN:
+        states = states[-1:] + states[:-1]  # rounds j .. r - 1
+    if opp is None:
+        pairs = zip(states, states)
     else:
-        # the opposite-side states of rounds j+1 .. j+period
-        opp_side, opp_part = sides[2:]
-        opp = [
-            StateVector._trusted(tuple(block[p, 0].tobytes()), opp_side, opp_part)
-            for (block, _), p in _with_row(opps[j:], row)
-        ]
-        # a round from a domain state v_{j+t} ends in the range state of
-        # round j+t+1
-        pairs = tuple(zip(states, opp) if side is Side.DOMAIN else zip(opp, states))
+        # the opposite-side states of rounds j+1 .. r: a round from a domain
+        # state v_{j+t} ends in the range state of round j+t+1, and a round
+        # from a range state runs backward into d then forward into v, so
+        # both members of a pair come from round j+t+1
+        others = _states(list(seen.values())[j:], opp, side.opposite, matrix)
+        pairs = zip(states, others) if side is Side.DOMAIN else zip(others, states)
     return _filled(
         HiddenPattern,
         kind=PatternKind.of_period(period),
         period=period,
-        pair_sequence=pairs,
+        pair_sequence=tuple(pairs),
         steps_to_enter=j - 1,
-        trace=_records(trace, row) if trace else None,
+        trace=_records(trace) if trace else None,
     )
 
 
-def _records(trace: list, row: int) -> tuple[StepRecord, ...]:
-    """``row``'s record of every product so far."""
-    out = []
-    for k, ((produced, rule, raw, bits, state, _), p) in enumerate(
-        _with_row(trace, row), 1
-    ):
-        out.append(
-            _filled(
-                StepRecord,
-                step_index=k,
-                produced_side=produced,
-                raw=tuple(raw[p, 0].tolist()),
-                thresholded=tuple(bits[p, 0].tobytes()),
-                after_update=tuple(state[p, 0].tobytes()),
-                rule_applied=rule,
-            )
+def _states(
+    packed: list[bytes], last: np.ndarray, side: Side, matrix: SuperMatrix
+) -> list[StateVector]:
+    """The states on ``side`` packed as ``packed``, then the state ``last``."""
+    part = _side_partition(matrix, side)
+    bits = [last.tobytes()]
+    if packed:
+        grid = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), -1)
+        bits = np.unpackbits(grid, axis=1, count=part.total).tolist() + bits
+    return [StateVector._trusted(tuple(b), side, part) for b in bits]
+
+
+def _records(trace: list) -> tuple[StepRecord, ...]:
+    """The record of every product so far of a block of one row."""
+    return tuple(
+        _filled(
+            StepRecord,
+            step_index=k,
+            produced_side=produced,
+            raw=tuple(raw[0, 0].tolist()),
+            thresholded=tuple(bits[0, 0].tobytes()),
+            after_update=tuple(state[0, 0].tobytes()),
+            rule_applied=rule,
         )
-    return tuple(out)
+        for k, (produced, rule, raw, bits, state) in enumerate(trace, 1)
+    )
 
 
 def sweep_unit_seeds(
@@ -659,7 +643,6 @@ def sweep_unit_seeds(
     policy: ThresholdPolicy,
     max_steps: int = DEFAULT_MAX_STEPS,
     one_sided: bool = False,
-    record_trace: bool = False,
 ) -> tuple[tuple[int, HiddenPattern], ...]:
     """Run every unit vector on ``side``, in index order, as one block."""
     side = Side(side)
@@ -674,7 +657,6 @@ def sweep_unit_seeds(
         policy.first_step_applies(unit, 1),  # every row has one on-coordinate
         max_steps,
         one_sided,
-        record_trace,
     )
     missing = [i for i, pattern in enumerate(patterns) if pattern is None]
     if missing:

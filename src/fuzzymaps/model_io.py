@@ -20,6 +20,7 @@ from .dynamics import (
     Comparator,
     FirstStepMode,
     HiddenPattern,
+    PatternKind,
     Side,
     StateVector,
     ThresholdPolicy,
@@ -386,12 +387,32 @@ def build_report(
     )
 
 
-def _state_dict(report: RunReport, state: StateVector) -> dict:
+def _state_dict(state: StateVector, labels: tuple[str, ...]) -> dict:
     return {
         "side": state.side.value,
         "bits": list(state.bits),
         "blocked": state.blocked_str(),
-        "on": list(report.on_labels(state)),
+        "on": [labels[i] for i in state.on_indices],
+    }
+
+
+def _pattern_dict(
+    pattern: HiddenPattern,
+    domain_labels: tuple[str, ...],
+    range_labels: tuple[str, ...],
+) -> dict:
+    """A report's ``pattern`` block, with each side's flat labels."""
+    return {
+        "kind": pattern.kind.value,
+        "period": pattern.period,
+        "steps_to_enter": pattern.steps_to_enter,
+        "pairs": [
+            {
+                "domain": _state_dict(d, domain_labels),
+                "range": _state_dict(r, range_labels),
+            }
+            for d, r in pattern.pair_sequence
+        ],
     }
 
 
@@ -405,18 +426,7 @@ def report_to_dict(report: RunReport) -> dict:
             "labels": list(report.seed_labels),
         },
         "policy": report.policy.as_dict(),
-        "pattern": {
-            "kind": pat.kind.value,
-            "period": pat.period,
-            "steps_to_enter": pat.steps_to_enter,
-            "pairs": [
-                {
-                    "domain": _state_dict(report, d),
-                    "range": _state_dict(report, r),
-                }
-                for d, r in pat.pair_sequence
-            ],
-        },
+        "pattern": _pattern_dict(pat, report.domain_labels, report.range_labels),
     }
     if report.include_trace and pat.trace is not None:
         out["steps"] = [
@@ -461,7 +471,7 @@ def report_to_text(report: RunReport) -> str:
                 f"  step {rec.step_index:>2} -> {rec.produced_side.value:<6} "
                 f"raw [{raw}] {rec.rule_applied.describe()} -> {bits}"
             )
-    if pat.kind.value == "fixed_point":
+    if pat.kind is PatternKind.FIXED_POINT:
         lines.append(f"hidden pattern: fixed point (entered after "
                      f"{pat.steps_to_enter} rounds)")
     else:

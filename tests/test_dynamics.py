@@ -439,19 +439,35 @@ class TestEngineCore:
         spec = _fuzzy_spec()
         for side in (Side.DOMAIN, Side.RANGE):
             part = spec.side_partition(side)
-            for trace in (False, True):
-                rows = sweep_unit_seeds(
-                    spec.matrix, side, spec.policy, record_trace=trace
+            rows = sweep_unit_seeds(spec.matrix, side, spec.policy)
+            assert [i for i, _ in rows] == list(range(part.total))
+            # rows leave the block at different products
+            assert len({hp.steps_to_enter + hp.period for _, hp in rows}) > 1
+            for i, hp in rows:
+                seed = StateVector.from_on_indices([i], side, part)
+                assert hp == run_hidden_pattern(
+                    spec.matrix, seed, spec.policy, record_trace=False
                 )
-                assert [i for i, _ in rows] == list(range(part.total))
-                # rows leave the block at different products
-                assert len({hp.steps_to_enter + hp.period for _, hp in rows}) > 1
-                for i, hp in rows:
-                    seed = StateVector.from_on_indices([i], side, part)
-                    assert hp == run_hidden_pattern(
-                        spec.matrix, seed, spec.policy, record_trace=trace
-                    )
-                    assert hp == stepped_pattern(spec.matrix, seed, spec.policy, False, trace)
+                assert hp == stepped_pattern(spec.matrix, seed, spec.policy, False, False)
+                traced = run_hidden_pattern(spec.matrix, seed, spec.policy)
+                assert traced == stepped_pattern(spec.matrix, seed, spec.policy, False, True)
+
+    def test_peak_memory_of_a_long_two_sided_run(self):
+        # a chain lights one more node a round: 398 rounds to its fixed
+        # pair; a row keeps its history packed, both sides alike
+        n = 400
+        m = SuperMatrix.simple(np.eye(n) + np.eye(n, k=-1))
+        seed = StateVector.from_on_indices([0], Side.DOMAIN, m.row_partition)
+        run_hidden_pattern(m, seed, GT0_POLICY, record_trace=False)
+        tracemalloc.start()
+        try:
+            hp = run_hidden_pattern(m, seed, GT0_POLICY, record_trace=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (hp.steps_to_enter, hp.period) == (n - 2, 1)
+        assert hp.fixed_pair[0].bits == (1,) * n
+        assert peak <= 160 * 2**10
 
 
 def _path(n: int, backward: bool = False) -> SuperMatrix:
@@ -477,14 +493,18 @@ class TestLockstepSweep:
     @pytest.mark.parametrize("backward", [False, True])
     def test_max_steps_boundary(self, backward):
         m = _path(7, backward)
-        rows = sweep_unit_seeds(
-            m, Side.DOMAIN, GT0_POLICY, one_sided=True, record_trace=True
-        )
-        k = max(len(hp.trace) for _, hp in rows)
-        slowest = [i for i, hp in rows if len(hp.trace) == k]
+        rows = sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        # each row's products, counted by a traced run of its seed alone
+        lengths = []
+        for i, _ in rows:
+            seed = seed_state(1 << i, Side.DOMAIN, m.row_partition)
+            hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
+            lengths.append(len(hp.trace))
+        k = max(lengths)
+        slowest = [i for i, n in enumerate(lengths) if n == k]
         assert slowest == [6 if backward else 0]
         capped = sweep_unit_seeds(
-            m, Side.DOMAIN, GT0_POLICY, max_steps=k, one_sided=True, record_trace=True
+            m, Side.DOMAIN, GT0_POLICY, max_steps=k, one_sided=True
         )
         assert capped == rows
         with pytest.raises(
@@ -946,16 +966,16 @@ def test_sweep_equals_stepped_reference(case, data):
     m, side, policy, one_sided, trace = case
     part = m.row_partition if side is Side.DOMAIN else m.col_partition
     expected = [
-        stepped_pattern(m, seed_state(1 << i, side, part), policy, one_sided, trace)
+        stepped_pattern(m, seed_state(1 << i, side, part), policy, one_sided, False)
         for i in range(part.total)
     ]
     if None in expected:
         with pytest.raises(StepLimitExceeded):
             sweep_unit_seeds(m, side, policy, one_sided=one_sided)
         return
-    rows = sweep_unit_seeds(m, side, policy, one_sided=one_sided, record_trace=trace)
+    rows = sweep_unit_seeds(m, side, policy, one_sided=one_sided)
     assert rows == tuple(enumerate(expected))
-    # one run, a block of one row, from any seed
+    # one run, a block of one row, from any seed, traced or not
     seed = seed_state(data.draw(st.integers(0, (1 << part.total) - 1)), side, part)
     assert run_hidden_pattern(
         m, seed, policy, one_sided=one_sided, record_trace=trace

@@ -1,6 +1,7 @@
 """Every exported name resolves, and the removed forwarders stay removed."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -53,3 +54,9 @@ def test_removed_names_stay_removed(module, name):
 def test_threshold_rule_has_no_apply():
     # thresholding is apply_threshold's alone
     assert not hasattr(fuzzymaps.ThresholdRule, "apply")
+
+
+def test_sweep_records_no_trace():
+    # only a single run records a trace
+    params = inspect.signature(fuzzymaps.sweep_unit_seeds).parameters
+    assert "record_trace" not in params
