@@ -496,13 +496,11 @@ def _run(
     x`` backward), the product :func:`special_product` computes, and a
     row's raw sums do not depend on the rows beside it: one matrix product
     of the whole block would add fuzzy entries in another order.  Each row
-    keeps a dict of its own, in round order, from each round's packed
-    seed-side state to the same round's packed opposite-side state
-    (``None`` on one-sided runs); the first key a row sees twice closes its
-    pattern and drops the row from the block.  Only a block of one row may
-    record a trace.  Objects are built only when a row closes: one pattern
-    per row, ``None`` where no seed-side state recurred within
-    ``max_steps`` products.
+    keeps a dict of its own packed seed-side states, in round order; the
+    first key a row sees twice closes its cycle and drops the row from the
+    block.  Only a block of one row may record a trace.  The patterns are
+    built once, after the loop: one per row, ``None`` where no seed-side
+    state recurred within ``max_steps`` products.
     """
     # ``x @ grid`` from a state on the seed's side
     grid = matrix.entries if one_sided or side is Side.DOMAIN else matrix.entries.T
@@ -523,13 +521,11 @@ def _run(
         opening = move(*opening[:2], policy.first_step_rule)
     schedule = itertools.chain([opening], itertools.cycle(moves[1:] + moves[:1]))
 
-    patterns: list[Optional[HiddenPattern]] = [None] * seeds.shape[0]
-    width, opp_width = (-(-k // 8) for k in grid.shape)  # bytes in a packed row
+    # per seed row, the rounds before its cycle and its cycle's packed states
+    cycles: list[Optional[tuple[int, list[bytes]]]] = [None] * seeds.shape[0]
+    width = -(-grid.shape[0] // 8)  # bytes in a packed seed-side row
     rows = list(range(seeds.shape[0]))  # each live row's index in ``seeds``
-    seen: list[dict[bytes, Optional[bytes]]] = [{} for _ in rows]
-    # the live rows' opposite-side states of the current round, as a block
-    # and packed; None on one-sided runs
-    opp_block = opposite = None
+    seen: list[dict[bytes, None]] = [{} for _ in rows]
     trace: list = []  # per product, (produced, rule, raw, bits, state)
     state = seeds = seeds[:, None]
     for grid, produced, rule, compare, cutoff, forced in itertools.islice(
@@ -540,85 +536,84 @@ def _run(
         state = bits | seeds if forced else bits
         if record_trace:
             trace.append((produced, rule, raw, bits, state))
-        packed = np.packbits(state, axis=-1).tobytes()
         if not forced:
-            opp_block, opposite = state, packed
             continue
-        done = {}  # the rows whose key repeats, and the key
+        packed = np.packbits(state, axis=-1).tobytes()
+        closed = False
         for p, visited in enumerate(seen):
             k = packed[p * width : (p + 1) * width]
             if k in visited:
-                done[p] = k
+                keys = list(visited)
+                j = keys.index(k)
+                cycles[rows[p]] = (j, keys[j:])
+                closed = True
             else:
-                visited[k] = opposite and opposite[p * opp_width : (p + 1) * opp_width]
-        if not done:
+                visited[k] = None
+        if not closed:
             continue
-        for p, k in done.items():
-            opp = None if opp_block is None else opp_block[p, 0]
-            patterns[rows[p]] = _pattern(
-                matrix, side, seen[p], k, state[p, 0], opp, trace
-            )
-        if len(done) == len(rows):
+        keep = [p for p, row in enumerate(rows) if cycles[row] is None]
+        if not keep:
             break
-        keep = [p for p in range(len(rows)) if p not in done]
         state, seeds = state[keep], seeds[keep]
         rows = [rows[p] for p in keep]
         seen = [seen[p] for p in keep]
+    return _patterns(matrix, side, cycles, None if one_sided else moves[0], trace)
+
+
+def _patterns(
+    matrix: SuperMatrix,
+    side: Side,
+    cycles: list[Optional[tuple[int, list[bytes]]]],
+    across: Optional[tuple],
+    trace: list,
+) -> list[Optional[HiddenPattern]]:
+    """Each row's pattern from ``(j, keys)``, the packed seed-side states
+    ``s_t`` of its cycle, entered after ``j`` rounds (``None`` stays so).
+    Pairs are ``(s_t, s_t)`` one-sided (``across`` is ``None``), ``(s_t,
+    o_t)`` from the domain side and ``(o_t, s_{t+1})`` from the range side,
+    where ``o_t`` is ``across`` of ``s_t``: the run's move from the seed's
+    side with the side rule, as it opens a round after the first.  The
+    cycles move across as one (S x 1 x n) block, a gemv per state, so the
+    bits are the engine's own.
+    """
+    part = _side_partition(matrix, side)
+    keys = [k for cycle in cycles if cycle for k in cycle[1]]
+    width = -(-part.total // 8)  # bytes in a packed row
+    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), 1, width)
+    states = np.unpackbits(packed, axis=-1, count=part.total)
+    mine = others = _vectors(states, side, part)
+    if across is not None:
+        grid, produced, rule = across[:3]
+        bits = rule.compare(np.matmul(states.view(bool), grid), rule.cutoff)
+        others = _vectors(bits, produced, _side_partition(matrix, produced))
+    patterns: list[Optional[HiddenPattern]] = []
+    at = 0
+    for cycle in cycles:
+        if cycle is None:
+            patterns.append(None)
+            continue
+        j, period = cycle[0], len(cycle[1])
+        d, r = mine[at : at + period], others[at : at + period]
+        at += period
+        if across is not None and side is Side.RANGE:
+            d, r = r, d[1:] + d[:1]  # (o_t, s_{t+1})
+        patterns.append(
+            _filled(
+                HiddenPattern,
+                kind=PatternKind.of_period(period),
+                period=period,
+                pair_sequence=tuple(zip(d, r)),
+                steps_to_enter=j,
+                trace=_records(trace) if trace else None,
+            )
+        )
     return patterns
 
 
-def _pattern(
-    matrix: SuperMatrix,
-    side: Side,
-    seen: dict[bytes, Optional[bytes]],
-    key: bytes,
-    last: np.ndarray,
-    opp: Optional[np.ndarray],
-    trace: list,
-) -> HiddenPattern:
-    """The pattern of a row whose seed-side state ``last``, packed as
-    ``key``, recurred in the current round r.
-
-    ``seen`` maps the row's packed seed-side states of rounds 1 .. r - 1 to
-    the packed opposite-side states of the same rounds, and ``opp`` is round
-    r's opposite-side state; all are ``None`` on one-sided runs.
-    """
-    keys = list(seen)
-    j = keys.index(key) + 1
-    period = len(keys) + 1 - j
-    # the seed-side states of rounds j+1 .. r, where round r repeats round j
-    states = _states(keys[j:], last, side, matrix)
-    if opp is None or side is Side.DOMAIN:
-        states = states[-1:] + states[:-1]  # rounds j .. r - 1
-    if opp is None:
-        pairs = zip(states, states)
-    else:
-        # the opposite-side states of rounds j+1 .. r: a round from a domain
-        # state v_{j+t} ends in the range state of round j+t+1, and a round
-        # from a range state runs backward into d then forward into v, so
-        # both members of a pair come from round j+t+1
-        others = _states(list(seen.values())[j:], opp, side.opposite, matrix)
-        pairs = zip(states, others) if side is Side.DOMAIN else zip(others, states)
-    return _filled(
-        HiddenPattern,
-        kind=PatternKind.of_period(period),
-        period=period,
-        pair_sequence=tuple(pairs),
-        steps_to_enter=j - 1,
-        trace=_records(trace) if trace else None,
-    )
-
-
-def _states(
-    packed: list[bytes], last: np.ndarray, side: Side, matrix: SuperMatrix
-) -> list[StateVector]:
-    """The states on ``side`` packed as ``packed``, then the state ``last``."""
-    part = _side_partition(matrix, side)
-    bits = [last.tobytes()]
-    if packed:
-        grid = np.frombuffer(b"".join(packed), np.uint8).reshape(len(packed), -1)
-        bits = np.unpackbits(grid, axis=1, count=part.total).tolist() + bits
-    return [StateVector._trusted(tuple(b), side, part) for b in bits]
+def _vectors(states: np.ndarray, side: Side, part: Partition) -> list[StateVector]:
+    """One state on ``side`` per row of an (S x 1 x n) 0/1 block."""
+    rows = states.view(np.uint8)[:, 0].tolist()
+    return [StateVector._trusted(tuple(b), side, part) for b in rows]
 
 
 def _records(trace: list) -> tuple[StepRecord, ...]:

@@ -84,8 +84,8 @@ _MODES = tuple(m.value for m in FirstStepMode)
 _CMPS = tuple(c.value for c in Comparator)
 
 
-def _jstr(s: str) -> str:
-    return json.dumps(s, ensure_ascii=True)
+def _jstr(s: str, ascii_only: bool = True) -> str:
+    return json.dumps(s, ensure_ascii=ascii_only)
 
 
 class _Memo(dict):
@@ -499,7 +499,8 @@ def emit_dot(spec: ModelSpec) -> str:
     Partition blocks become clusters.  Negative weights render dashed.
     Output is deterministic row-major text.
     """
-    lines = [f"digraph {_jstr(spec.name or 'model')} {{"]
+    # DOT has no \u escape: names and labels are written as they are
+    lines = [f"digraph {_jstr(spec.name or 'model', False)} {{"]
     lines.append("  rankdir=LR;")
     if spec.one_sided:
         sides = (("n", spec.domain_labels, spec.matrix.row_partition),)
@@ -514,7 +515,7 @@ def emit_dot(spec: ModelSpec) -> str:
             lines.append(f"  subgraph cluster_{prefix}{b} {{")
             lines.append(f'    label="{prefix}-block {b + 1}";')
             for i, lab in enumerate(blk):
-                lines.append(f"    {prefix}{off + i} [label={_jstr(lab)}];")
+                lines.append(f"    {prefix}{off + i} [label={_jstr(lab, False)}];")
             lines.append("  }")
     src_prefix = "n" if spec.one_sided else "d"
     dst_prefix = "n" if spec.one_sided else "r"

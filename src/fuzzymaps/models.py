@@ -21,6 +21,7 @@ from .dynamics import (
     ThresholdPolicy,
     run_hidden_pattern,
     _num,
+    _side_partition,
     DEFAULT_MAX_STEPS,
 )
 from .errors import ModelValidationError, UnknownLabel, WrongSide
@@ -110,11 +111,7 @@ class ModelSpec:
         return self._label_indices[Side(side)]
 
     def side_partition(self, side: Side) -> Partition:
-        return (
-            self.matrix.row_partition
-            if Side(side) is Side.DOMAIN
-            else self.matrix.col_partition
-        )
+        return _side_partition(self.matrix, Side(side))
 
     @cached_property
     def diagnostics(self) -> tuple["Diagnostic", ...]:

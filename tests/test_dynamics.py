@@ -454,20 +454,80 @@ class TestEngineCore:
 
     def test_peak_memory_of_a_long_two_sided_run(self):
         # a chain lights one more node a round: 398 rounds to its fixed
-        # pair; a row keeps its history packed, both sides alike
+        # pair; a row keeps only its packed seed-side states
         n = 400
         m = SuperMatrix.simple(np.eye(n) + np.eye(n, k=-1))
         seed = StateVector.from_on_indices([0], Side.DOMAIN, m.row_partition)
-        run_hidden_pattern(m, seed, GT0_POLICY, record_trace=False)
-        tracemalloc.start()
-        try:
-            hp = run_hidden_pattern(m, seed, GT0_POLICY, record_trace=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        hp, peak = _traced_peak(
+            lambda: run_hidden_pattern(m, seed, GT0_POLICY, record_trace=False)
+        )
         assert (hp.steps_to_enter, hp.period) == (n - 2, 1)
         assert hp.fixed_pair[0].bits == (1,) * n
-        assert peak <= 160 * 2**10
+        assert peak <= 88 * 2**10
+
+    def test_peak_memory_of_a_two_sided_chain_sweep(self):
+        # all 200 rows' histories are alive at once, seed side only; the
+        # lit run grows both ways until every node is on
+        m = SuperMatrix.simple(np.eye(200) + np.eye(200, k=-1))
+        rows, peak = _traced_peak(
+            lambda: sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY)
+        )
+        assert [hp.steps_to_enter for _, hp in rows] == [
+            max(198 - i, i - 1) for i in range(200)
+        ]
+        assert {hp.fixed_pair[0].bits for _, hp in rows} == {(1,) * 200}
+        assert peak <= 4 * 2**20
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_two_sided_pairs_of_a_period_2_cycle_follow_step(self, side):
+        # no two-sided run reaches a limit cycle, so the pairing rule is
+        # checked on a hand-built cycle: from the domain side each state
+        # pairs with its across product; from the range side a pair's
+        # domain member is the across product of the previous pair's range
+        # member
+        m = SuperMatrix.simple(
+            np.array([[1, 1, 0, -1], [0, 1, 1, 1], [1, 0, 1, 1]], dtype=float)
+        )
+        policy = ThresholdPolicy(GT0, GE2)  # across results differ by rule
+        if side is Side.DOMAIN:
+            part, grid, cycle = m.row_partition, m.entries, [bits("110"), bits("011")]
+        else:
+            part, grid = m.col_partition, m.entries.T
+            cycle = [bits("1100"), bits("0011")]
+        seed = StateVector.zeros(side, part)
+
+        def across(state_bits):  # one product from the seed's side, not the first
+            state = StateVector(state_bits, side, part)
+            return step(m, state, policy, seed, 2).after_update
+
+        assert across(cycle[0]) != across(cycle[1])
+        keys = [np.packbits(c).tobytes() for c in cycle]
+        move = (grid, side.opposite, policy.rule_for(side.opposite))
+        (hp,) = dynamics._patterns(m, side, [(3, keys)], move, [])
+        assert (hp.kind, hp.period, hp.steps_to_enter, hp.trace) == (
+            PatternKind.LIMIT_CYCLE, 2, 3, None
+        )
+        pairs = hp.pair_sequence
+        for (d, r), (_, before) in zip(pairs, pairs[-1:] + pairs[:-1]):
+            assert (d.side, r.side) == (Side.DOMAIN, Side.RANGE)
+            assert (d.partition, r.partition) == (m.row_partition, m.col_partition)
+            if side is Side.DOMAIN:
+                assert r.bits == across(d.bits)
+            else:
+                assert d.bits == across(before.bits)
+        mine = [pair[side is Side.RANGE].bits for pair in pairs]
+        assert mine == (cycle if side is Side.DOMAIN else cycle[1:] + cycle[:1])
+
+
+def _traced_peak(call):
+    """``call()``'s result and its peak traced memory, from a second call
+    (the first may set up numpy's own state)."""
+    call()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _path(n: int, backward: bool = False) -> SuperMatrix:
@@ -765,13 +825,7 @@ class TestEnumeration:
                 spec.matrix, Side.DOMAIN, spec.policy, one_sided=True
             )
 
-        census()  # the first call may set up numpy's own state
-        tracemalloc.start()
-        try:
-            census()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = _traced_peak(census)
         assert peak <= 20 * 2**20
 
     def test_census_never_imports_numpy_ma(self):

@@ -265,6 +265,21 @@ class TestDot:
         assert dot.count("{") == dot.count("}")
         assert "cluster_d0" in dot and "cluster_r2" in dot
 
+    def test_non_ascii_name_and_labels_written_as_they_are(self):
+        # DOT has no \u escape: Graphviz would print "médias" literally
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["name"] = "réseau des médias"
+        doc["domain"]["blocks"][0][0] = "médias"
+        doc["range"]["blocks"][-1][-1] = 'Ωmega "quoted"'
+        spec = parse_model(json.dumps(doc))
+        dot = emit_dot(spec)
+        assert dot.startswith('digraph "réseau des médias" {\n')
+        assert '    d0 [label="médias"];' in dot.splitlines()
+        assert '    r5 [label="Ωmega \\"quoted\\""];' in dot.splitlines()
+        assert "\\u" not in dot
+        # the model document itself stays ASCII, with JSON escapes
+        assert serialize_model(spec).isascii()
+
 
 class TestFixtures:
     def test_names(self):
