@@ -5,112 +5,19 @@ threshold dynamics until the hidden pattern (fixed point or limit cycle)
 appears.  See the README for the file format and the command-line front end.
 """
 
-from .supermatrix import (
-    EntryDomain,
-    Kind,
-    MatrixKind,
-    Orientation,
-    Partition,
-    SuperMatrix,
-    SuperVector,
-    check_entry_domain,
-    classify,
-    partition_matrix,
-)
-from .dynamics import (
-    Attractor,
-    AttractorCensus,
-    Attractors,
-    Comparator,
-    Direction,
-    FirstStepMode,
-    HiddenPattern,
-    PatternKind,
-    Side,
-    StateVector,
-    StepRecord,
-    ThresholdPolicy,
-    ThresholdRule,
-    apply_threshold,
-    apply_update,
-    enumerate_attractors,
-    run_hidden_pattern,
-    special_product,
-    step,
-    sweep_unit_seeds,
-)
-from .models import (
-    Diagnostic,
-    ModelKind,
-    ModelSpec,
-    describe,
-    run_model,
-    seed_from_labels,
-    validate_model,
-)
-from .model_io import (
-    FIXTURE_NAMES,
-    RunReport,
-    build_report,
-    emit_dot,
-    fixture_text,
-    load_fixture,
-    parse_model,
-    report_to_text,
-    serialize_model,
-    serialize_report,
-)
+# each module's __all__ is its public interface; the package republishes them
+from .supermatrix import *
+from .dynamics import *
+from .models import *
+from .model_io import *
 from . import errors
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EntryDomain",
-    "Kind",
-    "MatrixKind",
-    "Orientation",
-    "Partition",
-    "SuperMatrix",
-    "SuperVector",
-    "check_entry_domain",
-    "classify",
-    "partition_matrix",
-    "Attractor",
-    "AttractorCensus",
-    "Attractors",
-    "Comparator",
-    "Direction",
-    "FirstStepMode",
-    "HiddenPattern",
-    "PatternKind",
-    "Side",
-    "StateVector",
-    "StepRecord",
-    "ThresholdPolicy",
-    "ThresholdRule",
-    "apply_threshold",
-    "apply_update",
-    "enumerate_attractors",
-    "run_hidden_pattern",
-    "special_product",
-    "step",
-    "sweep_unit_seeds",
-    "Diagnostic",
-    "ModelKind",
-    "ModelSpec",
-    "describe",
-    "run_model",
-    "seed_from_labels",
-    "validate_model",
-    "FIXTURE_NAMES",
-    "RunReport",
-    "build_report",
-    "emit_dot",
-    "fixture_text",
-    "load_fixture",
-    "parse_model",
-    "report_to_text",
-    "serialize_model",
-    "serialize_report",
+    *supermatrix.__all__,
+    *dynamics.__all__,
+    *models.__all__,
+    *model_io.__all__,
     "errors",
 ]

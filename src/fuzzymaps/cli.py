@@ -32,10 +32,11 @@ from .errors import (
     ModelValidationError,
     StateSpaceTooLarge,
     StepLimitExceeded,
-    UnknownFixture,
 )
 from .model_io import (
     FIXTURE_NAMES,
+    _CMPS,
+    _MODES,
     _pattern_dict,
     build_report,
     emit_dot,
@@ -57,9 +58,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVALID_MODEL = 3
 EXIT_RESOURCE = 4
-
-_CMPS = tuple(c.value for c in Comparator)
-_MODES = tuple(m.value for m in FirstStepMode)
 
 
 class _UsageError(Exception):
@@ -159,25 +157,23 @@ def _resolve_seed(spec: ModelSpec, args) -> StateVector:
         raise _UsageError("--on needs at least one label, index or block.position")
     if args.side or spec.one_sided:
         side = _side_arg(spec, args)
+        on = _resolve_tokens(spec, tokens, side)
     else:
-        sides = []
+        # one pass keeps each side's resolution or its failure
+        resolved, failed = {}, {}
         for cand in (Side.DOMAIN, Side.RANGE):
             try:
-                _resolve_tokens(spec, tokens, cand)
-                sides.append(cand)
-            except _UsageError:
-                pass
-        if len(sides) == 1:
-            side = sides[0]
-        elif len(sides) == 2:
+                resolved[cand] = _resolve_tokens(spec, tokens, cand)
+            except _UsageError as e:
+                failed[cand] = e
+        if len(resolved) == 2:
             raise _UsageError(
                 "labels resolve on both sides; disambiguate with --side"
             )
-        else:
-            # re-raise the domain-side failure for its near-match hint
-            _resolve_tokens(spec, tokens, Side.DOMAIN)
-            raise _UsageError("labels do not resolve")  # unreachable
-    on = _resolve_tokens(spec, tokens, side)
+        if not resolved:
+            # the domain-side failure carries its near-match hint
+            raise failed[Side.DOMAIN]
+        ((side, on),) = resolved.items()
     return StateVector.from_on_indices(
         sorted(set(on)), side, spec.side_partition(side)
     )
@@ -423,19 +419,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnknownFixture as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (ModelSyntaxError, ModelSchemaError, ModelValidationError) as e:
         print(f"invalid model: {e}", file=sys.stderr)
         return EXIT_INVALID_MODEL
     except (StateSpaceTooLarge, StepLimitExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except FuzzyMapsError as e:
+    except (_UsageError, FuzzyMapsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

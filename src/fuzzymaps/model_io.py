@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -66,7 +67,8 @@ FIXTURE_NAMES = (
     "sec_2_5_fcm",
 )
 
-_TOP_KEYS = {
+# a document's required fields; "description" is its one optional field
+_TOP_KEYS = (
     "format_version",
     "name",
     "kind",
@@ -75,13 +77,14 @@ _TOP_KEYS = {
     "range",
     "matrix",
     "policy",
-    "description",
-}
+)
 # the values a document may name, in declaration order (error texts list them)
 _KINDS = tuple(k.value for k in ModelKind)
 _DOMAINS = tuple(d.value for d in EntryDomain)
 _MODES = tuple(m.value for m in FirstStepMode)
 _CMPS = tuple(c.value for c in Comparator)
+# C0 control characters, which DOT can neither hold nor escape
+_CONTROL = re.compile("[\x00-\x1f]").search
 
 
 def _jstr(s: str, ascii_only: bool = True) -> str:
@@ -184,11 +187,17 @@ def _int(literal: str):
         return float(literal)
 
 
-def _parse_rule(obj, where: str) -> ThresholdRule:
+def _fields(obj, where: str, required, optional=()) -> None:
+    """An object with every ``required`` field and others only from ``optional``."""
     _expect(isinstance(obj, dict), where, "expected an object")
-    extra = set(obj) - {"cmp", "cutoff"}
+    extra = set(obj).difference(required, optional)
     _expect(not extra, where, f"unknown fields: {sorted(extra)}")
-    _expect("cmp" in obj and "cutoff" in obj, where, "needs cmp and cutoff")
+    missing = set(required).difference(obj)
+    _expect(not missing, where, f"missing fields: {sorted(missing)}")
+
+
+def _parse_rule(obj, where: str, optional=()) -> ThresholdRule:
+    _fields(obj, where, ("cmp", "cutoff"), optional)
     cmp_val = obj["cmp"]
     _expect(cmp_val in _CMPS, where, f"cmp must be ge or gt, got {cmp_val!r}")
     cutoff = obj["cutoff"]
@@ -201,10 +210,7 @@ def _parse_rule(obj, where: str) -> ThresholdRule:
 
 
 def _parse_label_blocks(obj, where: str) -> tuple[tuple[str, ...], ...]:
-    _expect(isinstance(obj, dict), where, "expected an object")
-    extra = set(obj) - {"blocks"}
-    _expect(not extra, where, f"unknown fields: {sorted(extra)}")
-    _expect("blocks" in obj, where, "missing blocks")
+    _fields(obj, where, ("blocks",))
     blocks = obj["blocks"]
     _expect(isinstance(blocks, list) and blocks, where, "blocks must be a non-empty array")
     out = []
@@ -214,6 +220,7 @@ def _parse_label_blocks(obj, where: str) -> tuple[tuple[str, ...], ...]:
         for lab in blk:
             _expect(isinstance(lab, str), loc, "labels must be strings")
             _expect(len(lab) <= 64, loc, f"label {lab!r} longer than 64 characters")
+            _expect(not _CONTROL(lab), loc, f"label {lab!r} holds a control character")
         out.append(tuple(blk))
     return tuple(out)
 
@@ -231,11 +238,7 @@ def parse_model(text: str) -> ModelSpec:
         doc = _loads(text)
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(f"not valid JSON: {e}") from e
-    _expect(isinstance(doc, dict), "document", "top level must be an object")
-    extra = set(doc) - _TOP_KEYS
-    _expect(not extra, "document", f"unknown fields: {sorted(extra)}")
-    missing = _TOP_KEYS - {"description"} - set(doc)
-    _expect(not missing, "document", f"missing fields: {sorted(missing)}")
+    _fields(doc, "document", _TOP_KEYS, ("description",))
     version = doc["format_version"]
     _expect(
         type(version) is int and version == FORMAT_VERSION,
@@ -243,6 +246,7 @@ def parse_model(text: str) -> ModelSpec:
         f"expected {FORMAT_VERSION}, got {version!r}",
     )
     _expect(isinstance(doc["name"], str), "name", "must be a string")
+    _expect(not _CONTROL(doc["name"]), "name", "must not hold a control character")
     kind = doc["kind"]
     _expect(kind in _KINDS, "kind", f"must be one of {_KINDS}, got {kind!r}")
     ed = doc["entry_domain"]
@@ -289,23 +293,9 @@ def parse_model(text: str) -> ModelSpec:
     )
 
     pol = doc["policy"]
-    _expect(isinstance(pol, dict), "policy", "expected an object")
-    extra = set(pol) - {"domain", "range", "first_step"}
-    _expect(not extra, "policy", f"unknown fields: {sorted(extra)}")
-    _expect(
-        {"domain", "range", "first_step"} <= set(pol),
-        "policy",
-        "needs domain, range and first_step",
-    )
+    _fields(pol, "policy", ("domain", "range", "first_step"))
     fs = pol["first_step"]
-    _expect(isinstance(fs, dict), "policy.first_step", "expected an object")
-    extra = set(fs) - {"mode", "cmp", "cutoff"}
-    _expect(not extra, "policy.first_step", f"unknown fields: {sorted(extra)}")
-    _expect(
-        {"mode", "cmp", "cutoff"} <= set(fs),
-        "policy.first_step",
-        "needs mode, cmp and cutoff",
-    )
+    _fields(fs, "policy.first_step", ("mode", "cmp", "cutoff"))
     _expect(
         fs["mode"] in _MODES,
         "policy.first_step.mode",
@@ -314,9 +304,7 @@ def parse_model(text: str) -> ModelSpec:
     policy = ThresholdPolicy(
         domain_rule=_parse_rule(pol["domain"], "policy.domain"),
         range_rule=_parse_rule(pol["range"], "policy.range"),
-        first_step_rule=_parse_rule(
-            {"cmp": fs["cmp"], "cutoff": fs["cutoff"]}, "policy.first_step"
-        ),
+        first_step_rule=_parse_rule(fs, "policy.first_step", ("mode",)),
         first_step_mode=FirstStepMode(fs["mode"]),
     )
 

@@ -208,10 +208,7 @@ class SuperMatrix:
     @classmethod
     def simple(cls, entries) -> "SuperMatrix":
         """Wrap a plain grid with trivial partitions."""
-        a = np.array(entries, dtype=float)
-        if a.ndim != 2:
-            raise DimensionMismatch("matrix entries must be two-dimensional")
-        return cls(a, Partition([a.shape[0]]), Partition([a.shape[1]]))
+        return partition_matrix(entries)
 
     @property
     def n_rows(self) -> int:

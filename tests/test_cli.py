@@ -127,6 +127,32 @@ class TestValidate:
         assert err.startswith("invalid model: ") and "matrix[0][0]: entry 2" in err
         assert ("error: cannot write output: " in err) is bool(flags)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["range"]["blocks"][0].__setitem__(0, "a\x01b"),
+                "invalid model: range.blocks[0]: label 'a\\x01b' holds a control "
+                "character\n",
+            ),
+            (
+                lambda d: d.__setitem__("name", "n\x02m"),
+                "invalid model: name: must not hold a control character\n",
+            ),
+        ],
+        ids=["label", "name"],
+    )
+    def test_control_character_is_invalid_model(self, capsys, tmp_path, edit, message):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        edit(doc)
+        path = tmp_path / "control.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 3
+        assert err == message and out == ""
+        code, out, err = run_cli(capsys, "dot", str(path))
+        assert code == 3 and out == ""
+
     def test_json_output(self, capsys):
         code, out, err = run_cli(
             capsys, "validate", "--fixture", "ex_1_2_2", "--json"
@@ -176,6 +202,71 @@ class TestRun:
         )
         assert code == 0
         assert json.loads(out)["seed"]["side"] == "range"
+
+    def test_one_based_index(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "sec_2_5_fcm", "--on", "3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == {"side": "domain", "labels": ["R3"]}
+
+    def test_index_out_of_range(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "sec_2_5_fcm", "--on", "99"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: index 99 out of range; domain side has 18 nodes\n"
+
+    def test_labels_on_both_sides_need_side(self, capsys):
+        # index 1 names a node on either side of a two-sided model
+        code, out, err = run_cli(capsys, "run", "--fixture", "sec_2_2", "--on", "1")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: labels resolve on both sides; disambiguate with --side\n"
+        )
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "sec_2_2", "--on", "1", "--side", "range",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["seed"]["side"] == "range"
+
+    def test_labels_on_neither_side_report_the_domain_side(self, capsys):
+        # S1 is a range label; the domain side's failure carries the hint
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "sec_2_2", "--on", "A.R9,S1"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: unknown domain label 'A.R9'; near matches: A.R6, A.R5, A.R4\n"
+        )
+
+    @pytest.mark.parametrize("on", ["", ",", ",,"])
+    def test_empty_seed_is_usage_error(self, capsys, on):
+        code, out, err = run_cli(capsys, "run", "--fixture", "sec_2_5_fcm", "--on", on)
+        assert code == 2 and out == ""
+        assert err == (
+            "error: --on needs at least one label, index or block.position\n"
+        )
+
+    def test_max_steps_below_two_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "run", "--fixture", "sec_2_5_fcm", "--on", "R11", "--max-steps", "1",
+        )
+        assert code == 2 and out == ""
+        assert "max-steps must be at least 2" in err
+
+    def test_step_limit_is_resource_bound(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "run", "--fixture", "sec_2_5_fcm", "--on", "R11", "--max-steps", "2",
+        )
+        assert code == 4 and out == ""
+        assert err == (
+            "error: no seed-side state recurred within 2 products; raise "
+            "max_steps (--max-steps) to run longer\n"
+        )
 
     def test_block_qualified_syntax(self, capsys):
         # 2.3 means block 2, position 3 on the domain side

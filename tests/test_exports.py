@@ -22,6 +22,58 @@ def test_every_exported_name_resolves(module):
     assert not missing
 
 
+# the package's __all__ before it was derived from its modules' lists, by
+# the module that defines each name
+EXPORTED_BEFORE = {
+    "supermatrix": [
+        "EntryDomain", "Kind", "MatrixKind", "Orientation", "Partition",
+        "SuperMatrix", "SuperVector", "check_entry_domain", "classify",
+        "partition_matrix",
+    ],
+    "dynamics": [
+        "Attractor", "AttractorCensus", "Attractors", "Comparator", "Direction",
+        "FirstStepMode", "HiddenPattern", "PatternKind", "Side", "StateVector",
+        "StepRecord", "ThresholdPolicy", "ThresholdRule", "apply_threshold",
+        "apply_update", "enumerate_attractors", "run_hidden_pattern",
+        "special_product", "step", "sweep_unit_seeds",
+    ],
+    "models": [
+        "Diagnostic", "ModelKind", "ModelSpec", "describe", "run_model",
+        "seed_from_labels", "validate_model",
+    ],
+    "model_io": [
+        "FIXTURE_NAMES", "RunReport", "build_report", "emit_dot", "fixture_text",
+        "load_fixture", "parse_model", "report_to_text", "serialize_model",
+        "serialize_report",
+    ],
+}
+# names the modules exported that the package now republishes too
+EXPORTED_SINCE = {
+    "supermatrix": ["partition_from_cuts"],
+    "dynamics": ["GT_ZERO"],
+    "model_io": ["FORMAT_VERSION", "REPORT_VERSION"],
+}
+
+
+def test_package_all_is_its_modules_all():
+    # each public name is listed once, in its own module
+    modules = [fuzzymaps.supermatrix, fuzzymaps.dynamics, fuzzymaps.models,
+               fuzzymaps.model_io]
+    joined = [name for mod in modules for name in mod.__all__]
+    assert fuzzymaps.__all__ == joined + ["errors"]
+    assert fuzzymaps.errors is importlib.import_module("fuzzymaps.errors")
+
+
+@pytest.mark.parametrize("module", list(EXPORTED_BEFORE))
+def test_exports_resolve_to_their_modules_objects(module):
+    mod = importlib.import_module(f"fuzzymaps.{module}")
+    names = EXPORTED_BEFORE[module] + EXPORTED_SINCE.get(module, [])
+    assert len(names) == len(set(names))
+    for name in names:
+        assert name in fuzzymaps.__all__
+        assert getattr(fuzzymaps, name) is getattr(mod, name)
+
+
 def test_star_import():
     namespace = {}
     exec("from fuzzymaps import *", namespace)

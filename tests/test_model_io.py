@@ -218,6 +218,35 @@ class TestReports:
         assert "fixed point" in text
         assert "step  1" in text
 
+    def test_text_rendering_of_a_limit_cycle(self):
+        # mutual inhibition: the free node flips at every product
+        spec = ModelSpec(
+            name="ping",
+            kind="fcm",
+            domain_labels=(("a", "b"),),
+            range_labels=(("a", "b"),),
+            matrix=SuperMatrix.simple([[-1, 1], [1, -1]]),
+            entry_domain="signed_ternary",
+            policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("gt", 0)),
+        )
+        seed = seed_from_labels(spec, {"a"}, Side.DOMAIN)
+        report = build_report(spec, seed, run_model(spec, seed))
+        assert report.pattern.period == 2
+        assert report_to_text(report) == (
+            "model: ping\n"
+            "seed:  a [domain]\n"
+            "policy: domain > 0 | range > 0 | first step > 0 (auto)\n"
+            "hidden pattern: limit cycle, period 2 (entered after 0 rounds)\n"
+            "  pair 0 domain 11\n"
+            "         on: a, b\n"
+            "  pair 0 range  11\n"
+            "         on: a, b\n"
+            "  pair 1 domain 10\n"
+            "         on: a\n"
+            "  pair 1 range  10\n"
+            "         on: a\n"
+        )
+
     def test_report_states_revalidate(self):
         spec = load_fixture("ex_1_2_1")
         report = self.run_report()
@@ -529,3 +558,131 @@ class TestParseMessages:
         with pytest.raises(ModelSchemaError) as err:
             parse_model(json.dumps(doc))
         assert str(err.value) == "matrix[5]: each row must be an array"
+
+
+def _edited(edit) -> str:
+    doc = json.loads(fixture_text("ex_1_2_1"))
+    edit(doc)
+    return json.dumps(doc)
+
+
+class TestFieldMessages:
+    """Every document object is checked by one rule: its shape, then any
+    unknown field, then any missing one."""
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"doc"', "null"])
+    def test_top_level_not_an_object(self, text):
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(text)
+        assert str(err.value) == "document: expected an object"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("matrix"), "document: missing fields: ['matrix']"),
+            (
+                lambda d: [d.pop(k) for k in ("policy", "kind")],
+                "document: missing fields: ['kind', 'policy']",
+            ),
+            (
+                lambda d: d["domain"].pop("blocks"),
+                "domain: missing fields: ['blocks']",
+            ),
+            (
+                lambda d: d["policy"].pop("first_step"),
+                "policy: missing fields: ['first_step']",
+            ),
+            (
+                lambda d: d["policy"]["first_step"].pop("mode"),
+                "policy.first_step: missing fields: ['mode']",
+            ),
+            (
+                lambda d: d["policy"]["range"].pop("cutoff"),
+                "policy.range: missing fields: ['cutoff']",
+            ),
+            (
+                lambda d: d["policy"]["domain"].clear(),
+                "policy.domain: missing fields: ['cmp', 'cutoff']",
+            ),
+        ],
+    )
+    def test_missing_fields(self, edit, message):
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda d: d["range"].update(extra=1),
+                "range: unknown fields: ['extra']",
+            ),
+            (
+                lambda d: d["policy"]["domain"].update(mode="auto"),
+                "policy.domain: unknown fields: ['mode']",
+            ),
+            (lambda d: d.update(range=[]), "range: expected an object"),
+            (
+                lambda d: d["policy"].update(first_step="auto"),
+                "policy.first_step: expected an object",
+            ),
+        ],
+    )
+    def test_unknown_fields_and_shapes(self, edit, message):
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == message
+
+    def test_unknown_field_reported_before_a_missing_one(self):
+        def edit(doc):
+            doc["policy"]["range"] = {"cmp": "gt", "cut": 0}
+
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == "policy.range: unknown fields: ['cut']"
+
+    def test_first_step_shape_reported_before_the_side_rules(self):
+        def edit(doc):
+            doc["policy"]["domain"] = {"cmp": "gte", "cutoff": 0}
+            del doc["policy"]["first_step"]["cutoff"]
+
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == "policy.first_step: missing fields: ['cutoff']"
+
+
+class TestControlCharacters:
+    """DOT can neither hold nor escape a C0 control character."""
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\t", "\n", "\x1f"])
+    def test_label_refused(self, char):
+        label = f"a{char}b"
+
+        def edit(doc):
+            doc["range"]["blocks"][1][2] = label
+
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == (
+            f"range.blocks[1]: label {label!r} holds a control character"
+        )
+
+    @pytest.mark.parametrize("char", ["\x02", "\r", "\x1b"])
+    def test_model_name_refused(self, char):
+        def edit(doc):
+            doc["name"] = f"n{char}m"
+
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == "name: must not hold a control character"
+
+    @pytest.mark.parametrize("char", [" ", "\x7f", "\u00e9", "\u2028"])
+    def test_other_characters_kept(self, char):
+        def edit(doc):
+            doc["name"] = f"n{char}m"
+            doc["domain"]["blocks"][0][0] = f"a{char}b"
+
+        spec = parse_model(_edited(edit))
+        assert spec.name == f"n{char}m"
+        assert f'label="a{char}b"' in emit_dot(spec)

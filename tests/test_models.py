@@ -97,6 +97,12 @@ class TestValidate:
         diags = validate_model(bad)
         assert any(d.code == "label_block_size" for d in diags)
 
+    def test_more_label_blocks_than_partition_blocks(self):
+        bad = tiny_spec(domain_labels=(("x",), ("extra",)))
+        assert [str(d) for d in validate_model(bad)] == [
+            "label_blocks at domain.blocks: 2 label blocks against 1 partition blocks"
+        ]
+
     def test_duplicate_labels(self):
         bad = tiny_spec(
             matrix=SuperMatrix.simple([[1.0, 0.0]]),

@@ -153,6 +153,12 @@ class TestPartitionMatrix:
         with pytest.raises(DuplicateCut):
             partition_matrix(GRID_4X6, col_cuts=[2, 2])
 
+    @pytest.mark.parametrize("entries", [[1.0, 2.0], 3.0])
+    def test_simple_refuses_a_grid_that_is_not_2d(self, entries):
+        with pytest.raises(DimensionMismatch) as err:
+            SuperMatrix.simple(entries)
+        assert str(err.value) == "matrix entries must be two-dimensional"
+
 
 class TestBlocks:
     def test_first_block(self):
