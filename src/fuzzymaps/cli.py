@@ -247,9 +247,8 @@ def _cmd_sweep(args) -> int:
         one_sided=spec.one_sided,
     )
     if args.json:
-        domain, range_ = spec.labels_flat(Side.DOMAIN), spec.labels_flat(Side.RANGE)
         rows = [
-            {"seed": labels[i], "pattern": _pattern_dict(pattern, domain, range_)}
+            {"seed": labels[i], "pattern": _pattern_dict(pattern, spec)}
             for i, pattern in results
         ]
         payload = {"model": spec.name, "side": side.value, "rows": rows}

@@ -612,8 +612,7 @@ def _patterns(
 
 def _vectors(states: np.ndarray, side: Side, part: Partition) -> list[StateVector]:
     """One state on ``side`` per row of an (S x 1 x n) 0/1 block."""
-    rows = states.view(np.uint8)[:, 0].tolist()
-    return [StateVector._trusted(tuple(b), side, part) for b in rows]
+    return [StateVector._trusted(tuple(r.tobytes()), side, part) for r in states[:, 0]]
 
 
 def _records(trace: list) -> tuple[StepRecord, ...]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -83,8 +82,6 @@ _KINDS = tuple(k.value for k in ModelKind)
 _DOMAINS = tuple(d.value for d in EntryDomain)
 _MODES = tuple(m.value for m in FirstStepMode)
 _CMPS = tuple(c.value for c in Comparator)
-# C0 control characters, which DOT can neither hold nor escape
-_CONTROL = re.compile("[\x00-\x1f]").search
 
 
 def _jstr(s: str, ascii_only: bool = True) -> str:
@@ -219,8 +216,6 @@ def _parse_label_blocks(obj, where: str) -> tuple[tuple[str, ...], ...]:
         _expect(isinstance(blk, list) and blk, loc, "each block must be a non-empty array")
         for lab in blk:
             _expect(isinstance(lab, str), loc, "labels must be strings")
-            _expect(len(lab) <= 64, loc, f"label {lab!r} longer than 64 characters")
-            _expect(not _CONTROL(lab), loc, f"label {lab!r} holds a control character")
         out.append(tuple(blk))
     return tuple(out)
 
@@ -246,7 +241,6 @@ def parse_model(text: str) -> ModelSpec:
         f"expected {FORMAT_VERSION}, got {version!r}",
     )
     _expect(isinstance(doc["name"], str), "name", "must be a string")
-    _expect(not _CONTROL(doc["name"]), "name", "must not hold a control character")
     kind = doc["kind"]
     _expect(kind in _KINDS, "kind", f"must be one of {_KINDS}, got {kind!r}")
     ed = doc["entry_domain"]
@@ -339,19 +333,16 @@ def parse_model(text: str) -> ModelSpec:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Machine-friendly record of one hidden-pattern run."""
+    """Machine-friendly record of one hidden-pattern run of ``spec``."""
 
-    model_name: str
-    seed_side: Side
-    seed_labels: tuple[str, ...]
-    policy: ThresholdPolicy
+    spec: ModelSpec
+    seed: StateVector
     pattern: HiddenPattern
-    domain_labels: tuple[str, ...]
-    range_labels: tuple[str, ...]
+    policy: ThresholdPolicy
     include_trace: bool = False
 
     def on_labels(self, state: StateVector) -> tuple[str, ...]:
-        labels = self.domain_labels if state.side is Side.DOMAIN else self.range_labels
+        labels = self.spec.labels_flat(state.side)
         return tuple(labels[i] for i in state.on_indices)
 
 
@@ -362,17 +353,7 @@ def build_report(
     policy: Optional[ThresholdPolicy] = None,
     include_trace: bool = False,
 ) -> RunReport:
-    labels = spec.labels_flat(seed.side)
-    return RunReport(
-        model_name=spec.name,
-        seed_side=seed.side,
-        seed_labels=tuple(labels[i] for i in seed.on_indices),
-        policy=policy or spec.policy,
-        pattern=pattern,
-        domain_labels=spec.labels_flat(Side.DOMAIN),
-        range_labels=spec.labels_flat(Side.RANGE),
-        include_trace=include_trace,
-    )
+    return RunReport(spec, seed, pattern, policy or spec.policy, include_trace)
 
 
 def _state_dict(state: StateVector, labels: tuple[str, ...]) -> dict:
@@ -384,12 +365,10 @@ def _state_dict(state: StateVector, labels: tuple[str, ...]) -> dict:
     }
 
 
-def _pattern_dict(
-    pattern: HiddenPattern,
-    domain_labels: tuple[str, ...],
-    range_labels: tuple[str, ...],
-) -> dict:
-    """A report's ``pattern`` block, with each side's flat labels."""
+def _pattern_dict(pattern: HiddenPattern, spec: ModelSpec) -> dict:
+    """A report's ``pattern`` block, naming ``spec``'s labels."""
+    domain_labels = spec.labels_flat(Side.DOMAIN)
+    range_labels = spec.labels_flat(Side.RANGE)
     return {
         "kind": pattern.kind.value,
         "period": pattern.period,
@@ -408,13 +387,13 @@ def report_to_dict(report: RunReport) -> dict:
     pat = report.pattern
     out = {
         "report_version": REPORT_VERSION,
-        "model": report.model_name,
+        "model": report.spec.name,
         "seed": {
-            "side": report.seed_side.value,
-            "labels": list(report.seed_labels),
+            "side": report.seed.side.value,
+            "labels": list(report.on_labels(report.seed)),
         },
         "policy": report.policy.as_dict(),
-        "pattern": _pattern_dict(pat, report.domain_labels, report.range_labels),
+        "pattern": _pattern_dict(pat, report.spec),
     }
     if report.include_trace and pat.trace is not None:
         out["steps"] = [
@@ -440,9 +419,9 @@ def report_to_text(report: RunReport) -> str:
     """Human-oriented rendering of a run report."""
     pat = report.pattern
     lines = [
-        f"model: {report.model_name}",
-        f"seed:  {', '.join(report.seed_labels) or '(none)'} "
-        f"[{report.seed_side.value}]",
+        f"model: {report.spec.name}",
+        f"seed:  {', '.join(report.on_labels(report.seed)) or '(none)'} "
+        f"[{report.seed.side.value}]",
         "policy: domain {} | range {} | first step {} ({})".format(
             report.policy.domain_rule.describe(),
             report.policy.range_rule.describe(),
@@ -485,8 +464,10 @@ def emit_dot(spec: ModelSpec) -> str:
     """Render the causal graph: a node per label, an edge per nonzero entry.
 
     Partition blocks become clusters.  Negative weights render dashed.
-    Output is deterministic row-major text.
+    Output is deterministic row-major text.  An invalid ``spec`` raises
+    :class:`ModelValidationError`, as in :func:`serialize_model`.
     """
+    spec.require_valid()
     # DOT has no \u escape: names and labels are written as they are
     lines = [f"digraph {_jstr(spec.name or 'model', False)} {{"]
     lines.append("  rankdir=LR;")

@@ -8,6 +8,7 @@ from the two partitions, never from prose names.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -143,6 +144,8 @@ _RELATIONAL_KIND = {
     Kind.SUPER_COLUMN: ModelKind.SUPER_COLUMN_FRM,
     Kind.GENERAL_SUPER: ModelKind.SUPER_FRM,
 }
+# C0 control characters, which DOT can neither hold nor escape
+_CONTROL = re.compile("[\x00-\x1f]").search
 
 
 def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
@@ -150,10 +153,23 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
     out: list[Diagnostic] = []
     m = spec.matrix
 
+    if _CONTROL(spec.name):
+        out.append(
+            Diagnostic("name_control", "name", "must not hold a control character")
+        )
     for side, blocks, part in (
         ("domain", spec.domain_labels, m.row_partition),
         ("range", spec.range_labels, m.col_partition),
     ):
+        for i, blk in enumerate(blocks):
+            for lab in blk:
+                for code, what, bad in (
+                    ("label_length", "longer than 64 characters", len(lab) > 64),
+                    ("label_control", "holds a control character", _CONTROL(lab)),
+                ):
+                    if bad:
+                        where, text = f"{side}.blocks[{i}]", f"label {lab!r} {what}"
+                        out.append(Diagnostic(code, where, text))
         if len(blocks) != part.n_blocks:
             out.append(
                 Diagnostic(

@@ -132,12 +132,13 @@ class TestValidate:
         [
             (
                 lambda d: d["range"]["blocks"][0].__setitem__(0, "a\x01b"),
-                "invalid model: range.blocks[0]: label 'a\\x01b' holds a control "
-                "character\n",
+                "invalid model: label_control at range.blocks[0]: label 'a\\x01b' "
+                "holds a control character\n",
             ),
             (
                 lambda d: d.__setitem__("name", "n\x02m"),
-                "invalid model: name: must not hold a control character\n",
+                "invalid model: name_control at name: must not hold a control "
+                "character\n",
             ),
         ],
         ids=["label", "name"],

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -478,6 +479,27 @@ class TestEngineCore:
         assert {hp.fixed_pair[0].bits for _, hp in rows} == {(1,) * 200}
         assert peak <= 4 * 2**20
 
+    def test_peak_memory_of_a_one_sided_sweep(self):
+        # sparse signed map: 740 cycle states over its rows, the longest
+        # cycle of period 35; each state becomes its tuple without a list
+        # of n ints beside it
+        n, rng = 200, random.Random(0)
+        m = SuperMatrix.simple(
+            [
+                [
+                    rng.choice((-1.0, 1.0)) if i != j and rng.random() < 3 / n else 0.0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+        rows, peak = _traced_peak(
+            lambda: sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
+        )
+        periods = [hp.period for _, hp in rows]
+        assert (sum(periods), max(periods)) == (740, 35)
+        assert peak <= 2.2 * 2**20
+
     @pytest.mark.parametrize("side", list(Side))
     def test_two_sided_pairs_of_a_period_2_cycle_follow_step(self, side):
         # no two-sided run reaches a limit cycle, so the pairing rule is
@@ -795,6 +817,33 @@ class TestEnumeration:
             enumerate_attractors(
                 EXPERTS_12X6, Side.DOMAIN, GT0_POLICY, state_limit=census_limit
             )
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda m: run_hidden_pattern(
+                    m,
+                    StateVector.from_on_indices([0], Side.DOMAIN, m.row_partition),
+                    GT0_POLICY,
+                    one_sided=True,
+                ),
+                "one-sided runs need a square matrix",
+            ),
+            (
+                lambda m: enumerate_attractors(
+                    m, Side.DOMAIN, GT0_POLICY, one_sided=True
+                ),
+                "one-sided enumeration needs a square matrix",
+            ),
+        ],
+        ids=["run", "census"],
+    )
+    def test_one_sided_needs_a_square_matrix(self, call, message):
+        m = SuperMatrix.simple([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(DimensionMismatch) as err:
+            call(m)
+        assert str(err.value) == message
 
     def test_matches_reference_across_the_chunk_boundary(self):
         # 17 fuzzy nodes: two table chunks of 2**16 masks, each from the

@@ -25,6 +25,7 @@ from fuzzymaps import (
     seed_from_labels,
     serialize_model,
     serialize_report,
+    validate_model,
 )
 from fuzzymaps.errors import (
     ModelSchemaError,
@@ -662,10 +663,11 @@ class TestControlCharacters:
         def edit(doc):
             doc["range"]["blocks"][1][2] = label
 
-        with pytest.raises(ModelSchemaError) as err:
+        with pytest.raises(ModelValidationError) as err:
             parse_model(_edited(edit))
         assert str(err.value) == (
-            f"range.blocks[1]: label {label!r} holds a control character"
+            f"label_control at range.blocks[1]: label {label!r} holds a control "
+            "character"
         )
 
     @pytest.mark.parametrize("char", ["\x02", "\r", "\x1b"])
@@ -673,9 +675,11 @@ class TestControlCharacters:
         def edit(doc):
             doc["name"] = f"n{char}m"
 
-        with pytest.raises(ModelSchemaError) as err:
+        with pytest.raises(ModelValidationError) as err:
             parse_model(_edited(edit))
-        assert str(err.value) == "name: must not hold a control character"
+        assert str(err.value) == (
+            "name_control at name: must not hold a control character"
+        )
 
     @pytest.mark.parametrize("char", [" ", "\x7f", "\u00e9", "\u2028"])
     def test_other_characters_kept(self, char):
@@ -686,3 +690,68 @@ class TestControlCharacters:
         spec = parse_model(_edited(edit))
         assert spec.name == f"n{char}m"
         assert f'label="a{char}b"' in emit_dot(spec)
+
+
+def _one_by_one(name: str = "one", label: str = "x") -> ModelSpec:
+    """A 1x1 ``frm`` spec built in code, with domain label ``label``."""
+    return ModelSpec(
+        name=name,
+        kind="frm",
+        domain_labels=((label,),),
+        range_labels=(("y",),),
+        matrix=SuperMatrix.simple([[1.0]]),
+        entry_domain="signed_ternary",
+        policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("gt", 0)),
+    )
+
+
+class TestLabelRules:
+    """Label length and control characters are validation diagnostics, so a
+    spec built in code meets the rules that a parsed document meets."""
+
+    @pytest.mark.parametrize(
+        "fields, diagnostic",
+        [
+            (
+                {"label": "a\x01b"},
+                "label_control at domain.blocks[0]: label 'a\\x01b' holds a "
+                "control character",
+            ),
+            (
+                {"name": "n\x02m"},
+                "name_control at name: must not hold a control character",
+            ),
+            (
+                {"label": "x" * 65},
+                f"label_length at domain.blocks[0]: label '{'x' * 65}' longer "
+                "than 64 characters",
+            ),
+        ],
+        ids=["label", "name", "length"],
+    )
+    def test_code_built_spec_is_refused(self, fields, diagnostic):
+        spec = _one_by_one(**fields)
+        assert [str(d) for d in validate_model(spec)] == [diagnostic]
+        for write in (serialize_model, emit_dot):
+            with pytest.raises(ModelValidationError) as err:
+                write(spec)
+            assert str(err.value) == diagnostic
+
+    def test_64_character_label_passes(self):
+        spec = _one_by_one(label="x" * 64)
+        assert validate_model(spec) == ()
+        assert parse_model(serialize_model(spec)) == spec
+        assert f'd0 [label="{"x" * 64}"];' in emit_dot(spec)
+
+    def test_label_length_through_a_document(self):
+        def edit(doc, label):
+            doc["range"]["blocks"][2][4] = label
+
+        spec = parse_model(_edited(lambda d: edit(d, "e" * 64)))
+        assert spec.labels_flat(Side.RANGE)[-1] == "e" * 64
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(_edited(lambda d: edit(d, "e" * 65)))
+        assert str(err.value) == (
+            f"label_length at range.blocks[2]: label '{'e' * 65}' longer than 64 "
+            "characters"
+        )
