@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 usage error, 3 invalid model, 4 resource bound.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import math
 import sys
@@ -51,6 +50,7 @@ from .models import (  # noqa: F401
     ModelSpec,
     describe,
     run_model,
+    seed_from_labels,
     validate_model,
 )
 
@@ -116,67 +116,26 @@ def _load_spec(args) -> ModelSpec:
     return parse_model(text)
 
 
-def _resolve_tokens(
-    spec: ModelSpec, tokens: Sequence[str], side: Side
-) -> list[int]:
-    labels = spec.labels_flat(side)
-    part = spec.side_partition(side)
-    index = spec.label_index(side)
-    out = []
-    for tok in tokens:
-        if tok in index:
-            out.append(index[tok])
-            continue
-        qualified = tok.split(".")
-        if len(qualified) == 2 and all(p.isdecimal() for p in qualified):
-            b, p = int(qualified[0]), int(qualified[1])
-            if 1 <= b <= part.n_blocks and 1 <= p <= part.sizes[b - 1]:
-                out.append(part.offsets[b - 1] + p - 1)
-                continue
-            raise _UsageError(
-                f"block position {tok!r} out of range for {side.value} blocks "
-                f"{list(part.sizes)}"
-            )
-        if tok.isdecimal():
-            i = int(tok)
-            if 1 <= i <= len(labels):
-                out.append(i - 1)
-                continue
-            raise _UsageError(
-                f"index {tok} out of range; {side.value} side has {len(labels)} nodes"
-            )
-        near = difflib.get_close_matches(tok, labels, n=3, cutoff=0.4)
-        hint = f"; near matches: {', '.join(near)}" if near else ""
-        raise _UsageError(f"unknown {side.value} label {tok!r}{hint}")
-    return out
-
-
 def _resolve_seed(spec: ModelSpec, args) -> StateVector:
     tokens = [t for t in (args.on or "").split(",") if t]
     if not tokens:
         raise _UsageError("--on needs at least one label, index or block.position")
     if args.side or spec.one_sided:
-        side = _side_arg(spec, args)
-        on = _resolve_tokens(spec, tokens, side)
-    else:
-        # one pass keeps each side's resolution or its failure
-        resolved, failed = {}, {}
-        for cand in (Side.DOMAIN, Side.RANGE):
-            try:
-                resolved[cand] = _resolve_tokens(spec, tokens, cand)
-            except _UsageError as e:
-                failed[cand] = e
-        if len(resolved) == 2:
-            raise _UsageError(
-                "labels resolve on both sides; disambiguate with --side"
-            )
-        if not resolved:
-            # the domain-side failure carries its near-match hint
-            raise failed[Side.DOMAIN]
-        ((side, on),) = resolved.items()
-    return StateVector.from_on_indices(
-        sorted(set(on)), side, spec.side_partition(side)
-    )
+        return seed_from_labels(spec, tokens, _side_arg(spec, args))
+    # one pass keeps each side's seed or its failure
+    resolved, failed = {}, {}
+    for side in (Side.DOMAIN, Side.RANGE):
+        try:
+            resolved[side] = seed_from_labels(spec, tokens, side)
+        except FuzzyMapsError as e:  # IndexOutOfRange, UnknownLabel, WrongSide
+            failed[side] = e
+    if len(resolved) == 2:
+        raise _UsageError("labels resolve on both sides; disambiguate with --side")
+    if not resolved:
+        # the domain-side failure carries its near-match hint
+        raise failed[Side.DOMAIN]
+    (seed,) = resolved.values()
+    return seed
 
 
 def _side_arg(spec: ModelSpec, args) -> Side:

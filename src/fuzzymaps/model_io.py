@@ -305,21 +305,19 @@ def parse_model(text: str) -> ModelSpec:
     description = doc.get("description", "")
     _expect(isinstance(description, str), "description", "must be a string")
 
+    # the checked rows go to SuperMatrix as lists: its copy is the only one
+    parts = Partition(row_sizes), Partition(col_sizes)
     try:
-        entries = np.array(matrix, dtype=float)
+        grid = SuperMatrix(matrix, *parts)
     except OverflowError:
-        entries = np.array([[_float(v) for v in row] for row in matrix])
+        grid = SuperMatrix([[_float(v) for v in row] for row in matrix], *parts)
 
     spec = ModelSpec(
         name=doc["name"],
         kind=kind,
         domain_labels=domain_blocks,
         range_labels=range_blocks,
-        matrix=SuperMatrix(
-            entries,
-            Partition(row_sizes),
-            Partition(col_sizes),
-        ),
+        matrix=grid,
         entry_domain=EntryDomain(ed),
         policy=policy,
         description=description,

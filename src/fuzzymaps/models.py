@@ -7,6 +7,7 @@ from the two partitions, never from prose names.
 
 from __future__ import annotations
 
+import difflib
 import math
 import re
 from collections import Counter
@@ -25,7 +26,7 @@ from .dynamics import (
     _side_partition,
     DEFAULT_MAX_STEPS,
 )
-from .errors import ModelValidationError, UnknownLabel, WrongSide
+from .errors import IndexOutOfRange, ModelValidationError, UnknownLabel, WrongSide
 from .supermatrix import (
     EntryDomain,
     Kind,
@@ -260,23 +261,44 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
 def seed_from_labels(
     spec: ModelSpec, labels: Iterable[str], side: Side
 ) -> StateVector:
-    """Binary state with exactly the named coordinates on (set semantics)."""
+    """Binary state with exactly the named coordinates on (set semantics).
+
+    A node is named by label, 1-based index (``"3"``) or ``block.position``
+    (``"2.3"``), a label first.  A name off the side raises
+    :class:`IndexOutOfRange`, :class:`WrongSide` or :class:`UnknownLabel`.
+    """
     side = Side(side)
     index = spec.label_index(side)
-    other = spec.label_index(side.opposite)
+    part = spec.side_partition(side)
     on: set[int] = set()
-    for label in labels:
-        if label in index:
-            on.add(index[label])
-        elif label in other and not spec.one_sided:
-            raise WrongSide(
-                f"label {label!r} lives on the {side.opposite.value} side"
-            )
+    for name in labels:
+        if name in index:
+            on.add(index[name])
+            continue
+        qualified = name.split(".")
+        if len(qualified) == 2 and all(p.isdecimal() for p in qualified):
+            b, p = int(qualified[0]), int(qualified[1])
+            if not (1 <= b <= part.n_blocks and 1 <= p <= part.sizes[b - 1]):
+                raise IndexOutOfRange(
+                    f"block position {name!r} out of range for {side.value} "
+                    f"blocks {list(part.sizes)}"
+                )
+            on.add(part.offsets[b - 1] + p - 1)
+        elif name.isdecimal():
+            if not 1 <= int(name) <= part.total:
+                raise IndexOutOfRange(
+                    f"index {name} out of range; {side.value} side has "
+                    f"{part.total} nodes"
+                )
+            on.add(int(name) - 1)
+        elif name in spec.label_index(side.opposite) and not spec.one_sided:
+            raise WrongSide(f"label {name!r} lives on the {side.opposite.value} side")
         else:
-            raise UnknownLabel(f"unknown {side.value} label {label!r}")
-    return StateVector.from_on_indices(
-        sorted(on), side, spec.side_partition(side)
-    )
+            flat = spec.labels_flat(side)
+            near = difflib.get_close_matches(name, flat, n=3, cutoff=0.4)
+            hint = f"; near matches: {', '.join(near)}" if near else ""
+            raise UnknownLabel(f"unknown {side.value} label {name!r}{hint}")
+    return StateVector.from_on_indices(sorted(on), side, part)
 
 
 def run_model(

@@ -242,6 +242,13 @@ class TestRun:
             "error: unknown domain label 'A.R9'; near matches: A.R6, A.R5, A.R4\n"
         )
 
+    def test_label_of_the_other_side_names_its_side(self, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--fixture", "sec_2_2", "--side", "domain", "--on", "S1"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: label 'S1' lives on the range side\n"
+
     @pytest.mark.parametrize("on", ["", ",", ",,"])
     def test_empty_seed_is_usage_error(self, capsys, on):
         code, out, err = run_cli(capsys, "run", "--fixture", "sec_2_5_fcm", "--on", on)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -511,6 +512,42 @@ class TestGeneratedRoundTrip:
             for j in range(n_cols)
             if (w := float(entries[i, j])) != 0.0
         ]
+
+
+class TestParseMemory:
+    def test_peak_of_a_400_node_map(self):
+        # the float grid is built once: 1.22 MiB of entries, traced on a
+        # second parse (the first may set up numpy's own state)
+        rng = random.Random(0)
+        labels = {"blocks": [[f"C{i}" for i in range(400)]]}
+        rule = {"cmp": "gt", "cutoff": 0}
+        doc = {
+            "format_version": 1,
+            "name": "ternary400",
+            "kind": "fcm",
+            "entry_domain": "signed_ternary",
+            "domain": labels,
+            "range": labels,
+            "matrix": [
+                [rng.choice((-1, 0, 0, 0, 1)) for _ in range(400)]
+                for _ in range(400)
+            ],
+            "policy": {
+                "domain": rule,
+                "range": rule,
+                "first_step": {"mode": "auto", **rule},
+            },
+        }
+        text = json.dumps(doc)
+        parse_model(text)
+        tracemalloc.start()
+        try:
+            spec = parse_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.matrix.entries.tolist() == doc["matrix"]
+        assert peak <= 3.5 * 2**20
 
 
 def _with_matrix_literal(row: int, col: int, literal: str) -> str:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzzymaps import (
+    FIXTURE_NAMES,
     Comparator,
     EntryDomain,
     ModelKind,
@@ -32,6 +33,7 @@ from fuzzymaps import (
 from fuzzymaps import models
 from fuzzymaps.errors import (
     FuzzyMapsError,
+    IndexOutOfRange,
     ModelValidationError,
     NonFiniteCutoff,
     UnknownLabel,
@@ -209,6 +211,76 @@ class TestSeeds:
         seed = seed_from_labels(spec, labels, Side.DOMAIN)
         flat = spec.labels_flat(Side.DOMAIN)
         assert {flat[i] for i in seed.on_indices} == labels
+
+
+class TestNameForms:
+    """A node's label, 1-based index and ``block.position`` name the same
+    coordinate, on every fixture and on both sides of a two-sided one."""
+
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_three_forms_agree(self, fixture):
+        spec = load_fixture(fixture)
+        sides = [Side.DOMAIN] if spec.one_sided else [Side.DOMAIN, Side.RANGE]
+        for side in sides:
+            blocks = spec.domain_labels if side is Side.DOMAIN else spec.range_labels
+            i = 0
+            for b, blk in enumerate(blocks, 1):
+                for p, label in enumerate(blk, 1):
+                    forms = [label, str(i + 1), f"{b}.{p}"]
+                    seeds = [seed_from_labels(spec, [f], side) for f in forms]
+                    assert all(s.on_indices == (i,) for s in seeds), (side, forms)
+                    assert seeds[0] == seeds[1] == seeds[2]
+                    i += 1
+            assert i == len(spec.labels_flat(side))
+
+    def test_forms_mix_in_one_seed(self):
+        spec = load_fixture("ex_1_2_3_structure")
+        flat = spec.labels_flat(Side.DOMAIN)
+        # the first block holds four nodes, so "2.1" is node 4
+        seed = seed_from_labels(spec, [flat[0], "2", "2.1"], Side.DOMAIN)
+        assert seed.on_indices == (0, 1, 4)
+
+    def test_a_label_takes_precedence(self):
+        # labels that read as indices or positions name their own nodes
+        spec = tiny_spec(
+            kind=ModelKind.FCM,
+            domain_labels=(("2", "1.1", "x"),),
+            range_labels=(("2", "1.1", "x"),),
+            matrix=SuperMatrix.simple(np.zeros((3, 3))),
+        )
+        assert seed_from_labels(spec, ["2"], Side.DOMAIN).on_indices == (0,)
+        assert seed_from_labels(spec, ["1.1"], Side.DOMAIN).on_indices == (1,)
+        assert seed_from_labels(spec, ["3", "1.3"], Side.DOMAIN).on_indices == (2,)
+
+    @pytest.mark.parametrize(
+        "fixture, name, error, text",
+        [
+            ("sec_2_5_fcm", "99", IndexOutOfRange,
+             "index 99 out of range; domain side has 18 nodes"),
+            ("sec_2_5_fcm", "0", IndexOutOfRange,
+             "index 0 out of range; domain side has 18 nodes"),
+            ("sec_2_5_fcm", "2.3", IndexOutOfRange,
+             "block position '2.3' out of range for domain blocks [18]"),
+            ("sec_2_5_fcm", "1.19", IndexOutOfRange,
+             "block position '1.19' out of range for domain blocks [18]"),
+            ("sec_2_5_fcm", "R9x", UnknownLabel,
+             "unknown domain label 'R9x'; near matches: R9, R8, R7"),
+            ("sec_2_5_fcm", "~", UnknownLabel,
+             "unknown domain label '~'"),
+            ("sec_2_2", "S1", WrongSide,
+             "label 'S1' lives on the range side"),
+        ],
+        ids=["index", "index-zero", "position", "position-width", "near",
+             "no-near", "wrong-side"],
+    )
+    def test_error_class_and_text(self, fixture, name, error, text):
+        spec = load_fixture(fixture)
+        # a valid name before the bad one does not hide it
+        first = spec.labels_flat(Side.DOMAIN)[0]
+        with pytest.raises(error) as err:
+            seed_from_labels(spec, [first, name], Side.DOMAIN)
+        assert type(err.value) is error
+        assert str(err.value) == text
 
 
 class TestRunModel:
