@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 usage error, 3 invalid model, 4 resource bound.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import replace
@@ -36,7 +35,11 @@ from .model_io import (
     FIXTURE_NAMES,
     _CMPS,
     _MODES,
-    _pattern_dict,
+    _arr,
+    _json,
+    _obj,
+    _pattern_text,
+    _str,
     build_report,
     emit_dot,
     fixture_text,
@@ -164,12 +167,12 @@ def _cmd_validate(args) -> int:
         # the diagnosis first: an unwritable -o then still reports it
         print(f"invalid model: {e}", file=sys.stderr)
         if args.json:
-            _emit(json.dumps({"valid": False, "error": str(e)}, indent=2) + "\n", args)
+            _emit(_json({"valid": False, "error": str(e)}) + "\n", args)
         return EXIT_INVALID_MODEL
     # parse_model refuses a model with any diagnostic, so this one has none
     if args.json:
         payload = {"valid": True, "model": describe(spec), "diagnostics": []}
-        _emit(json.dumps(payload, indent=2) + "\n", args)
+        _emit(_json(payload) + "\n", args)
     else:
         d = describe(spec)
         _emit(
@@ -207,11 +210,11 @@ def _cmd_sweep(args) -> int:
     )
     if args.json:
         rows = [
-            {"seed": labels[i], "pattern": _pattern_dict(pattern, spec)}
-            for i, pattern in results
+            _obj("    ", seed=_str(labels[i]), pattern=_pattern_text(p, spec, "      "))
+            for i, p in results
         ]
-        payload = {"model": spec.name, "side": side.value, "rows": rows}
-        _emit(json.dumps(payload, indent=2) + "\n", args)
+        text = _obj("", model=_str(spec.name), side=_str(side.value), rows=_arr(rows, "  "))
+        _emit(text + "\n", args)
         return EXIT_OK
     width = max(len(lab) for lab in labels)
     lines = [f"sweep of {spec.name} ({side.value} side, {len(labels)} seeds)"]
@@ -251,28 +254,29 @@ def _cmd_attractors(args) -> int:
     # bit i of a mask is the i-th printed digit
     digits = [format(m, f"0{n}b")[::-1] for m in flat]
     if args.json:
-        # what json.dumps(payload, indent=2) wrote for a payload whose states
-        # were lists of bits, built from the columns; each state once
-        bit_sep, sep = ",\n" + " " * 10, ",\n"
-        blocks = [f"        [\n          {bit_sep.join(d)}\n        ]" for d in digits]
-        kinds = [PatternKind.LIMIT_CYCLE.value, PatternKind.FIXED_POINT.value]
+        # a census can hold millions of states: the document, each attractor
+        # and each state fill in the pieces of a layout that the shared
+        # writer lays out around NUL members, which no encoded value holds
+        head, sep, tail = _arr("\0\0", "        ").split("\0")
+        blocks = [f"{head}{sep.join(d)}{tail}" for d in digits]
+        t0, t1, t2, t3, sep, t4 = _obj(
+            "    ", kind="\0", period="\0", basin_size="\0", states=_arr("\0\0", "      ")
+        ).split("\0")
+        kinds = [_str(PatternKind.LIMIT_CYCLE.value), _str(PatternKind.FIXED_POINT.value)]
         items = [
-            f'    {{\n      "kind": "{kinds[periods[k] == 1]}",\n'
-            f'      "period": {periods[k]},\n'
-            f'      "basin_size": {basins[k]},\n'
-            f'      "states": [\n{sep.join(blocks[bounds[k] : bounds[k + 1]])}'
-            "\n      ]\n    }"
+            f"{t0}{kinds[periods[k] == 1]}{t1}{periods[k]}{t2}{basins[k]}"
+            f"{t3}{sep.join(blocks[bounds[k] : bounds[k + 1]])}{t4}"
             for k in order
         ]
-        _emit(
-            "{\n"
-            f'  "model": {json.dumps(spec.name)},\n'
-            f'  "side": {json.dumps(side.value)},\n'
-            f'  "nodes": {n},\n'
-            f'  "total_seeds": {census.n_seeds},\n'
-            '  "attractors": [\n' + ",\n".join(items) + "\n  ]\n}\n",
-            args,
-        )
+        head, sep, tail = _obj(
+            "",
+            model=_str(spec.name),
+            side=_str(side.value),
+            nodes=str(n),
+            total_seeds=str(census.n_seeds),
+            attractors=_arr("\0\0", "  "),
+        ).split("\0")
+        _emit(f"{head}{sep.join(items)}{tail}\n", args)
         return EXIT_OK
     lines = [
         f"{spec.name}: {census.n_seeds} seeds on the {side.value} side, "
@@ -290,17 +294,22 @@ def _cmd_dot(args) -> int:
     spec = _load_spec(args)
     text = emit_dot(spec)
     if args.json:
-        _emit(json.dumps({"dot": text}, indent=2) + "\n", args)
+        _emit(_json({"dot": text}) + "\n", args)
     else:
         _emit(text, args)
     return EXIT_OK
 
 
-def _steps_arg(text: str) -> int:
+def _steps_arg(text: str, flag: str = "max-steps") -> int:
     value = int(text)
     if value < 2:
-        raise argparse.ArgumentTypeError("max-steps must be at least 2")
+        raise argparse.ArgumentTypeError(f"{flag} must be at least 2")
     return value
+
+
+def _states_arg(text: str) -> int:
+    # every census has at least 2 seeds, so a smaller limit admits none
+    return _steps_arg(text, "max-states")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attractors", help="enumerate every seed exhaustively")
     add_common(p, side=True, policy=True)
-    p.add_argument("--max-states", type=int, default=1 << 20)
+    p.add_argument("--max-states", type=_states_arg, default=1 << 20)
     p.set_defaults(func=_cmd_attractors)
 
     p = sub.add_parser("dot", help="export the causal graph as DOT")

@@ -21,7 +21,6 @@ from .dynamics import (
     FirstStepMode,
     HiddenPattern,
     PatternKind,
-    Side,
     StateVector,
     ThresholdPolicy,
     ThresholdRule,
@@ -84,15 +83,17 @@ _MODES = tuple(m.value for m in FirstStepMode)
 _CMPS = tuple(c.value for c in Comparator)
 
 
-def _jstr(s: str, ascii_only: bool = True) -> str:
-    return json.dumps(s, ensure_ascii=ascii_only)
+# the C string encoders of json.dumps, with and without ensure_ascii
+_str = json.encoder.encode_basestring_ascii
+_str_utf8 = json.encoder.encode_basestring
+_BIT = ("0", "1")
 
 
 class _Memo(dict):
     """``memo[x]`` is ``render(x)``, rendered once per distinct ``x``.
 
-    A matrix holds few distinct numbers, so the text of each is computed
-    once and cells look theirs up in C.  ``-0.0`` and ``0.0`` share a key,
+    A matrix or a trace holds few distinct numbers, so the text of each is
+    computed once and cells look theirs up in C.  ``-0.0`` and ``0.0`` share a key,
     which is harmless: :func:`_num` renders both as ``0``.
     """
 
@@ -115,15 +116,15 @@ def serialize_model(spec: ModelSpec) -> str:
     spec.require_valid()
     lines: list[str] = ["{"]
     lines.append(f'  "format_version": {FORMAT_VERSION},')
-    lines.append(f'  "name": {_jstr(spec.name)},')
-    lines.append(f'  "kind": {_jstr(spec.kind.value)},')
-    lines.append(f'  "entry_domain": {_jstr(spec.entry_domain.value)},')
+    lines.append(f'  "name": {_str(spec.name)},')
+    lines.append(f'  "kind": {_str(spec.kind.value)},')
+    lines.append(f'  "entry_domain": {_str(spec.entry_domain.value)},')
     for key, blocks in (("domain", spec.domain_labels), ("range", spec.range_labels)):
         lines.append(f'  "{key}": {{"blocks": [')
         for i, blk in enumerate(blocks):
             comma = "," if i + 1 < len(blocks) else ""
             lines.append(
-                "    [" + ", ".join(_jstr(x) for x in blk) + "]" + comma
+                "    [" + ", ".join(_str(x) for x in blk) + "]" + comma
             )
         lines.append("  ]},")
     lines.append('  "matrix": [')
@@ -136,14 +137,14 @@ def serialize_model(spec: ModelSpec) -> str:
     for where, fields in spec.policy.as_dict().items():
         # the fields are strings and float cutoffs
         body = ", ".join(
-            f"{_jstr(k)}: {_jstr(v) if isinstance(v, str) else _num(v)}"
+            f"{_str(k)}: {_str(v) if isinstance(v, str) else _num(v)}"
             for k, v in fields.items()
         )
-        lines.append(f"    {_jstr(where)}: {{{body}}},")
+        lines.append(f"    {_str(where)}: {{{body}}},")
     lines[-1] = lines[-1][:-1]  # no comma after the last rule
     if spec.description:
         lines.append("  },")
-        lines.append(f'  "description": {_jstr(spec.description)}')
+        lines.append(f'  "description": {_str(spec.description)}')
     else:
         lines.append("  }")
     lines.append("}")
@@ -354,63 +355,94 @@ def build_report(
     return RunReport(spec, seed, pattern, policy or spec.policy, include_trace)
 
 
-def _state_dict(state: StateVector, labels: tuple[str, ...]) -> dict:
-    return {
-        "side": state.side.value,
-        "bits": list(state.bits),
-        "blocked": state.blocked_str(),
-        "on": [labels[i] for i in state.on_indices],
-    }
+def _arr(items, pad: str, ends: str = "[]") -> str:
+    """The encoded ``items`` as ``json.dumps`` lays out a list at an indent
+    of 2, closed at indent ``pad``; ``ends="{}"`` lays out an object."""
+    body = f",\n  {pad}".join(items)
+    return f"{ends[0]}\n  {pad}{body}\n{pad}{ends[1]}" if body else ends
 
 
-def _pattern_dict(pattern: HiddenPattern, spec: ModelSpec) -> dict:
+def _obj(pad: str, /, **members: str) -> str:
+    """As :func:`_arr`, for an object of encoded member values."""
+    return _arr([f"{_str(k)}: {v}" for k, v in members.items()], pad, "{}")
+
+
+def _json(value, pad: str = "") -> str:
+    """What ``json.dumps`` writes at an indent of 2 for dicts with string
+    keys, lists, tuples and scalars, closed at indent ``pad``."""
+    if isinstance(value, str):
+        return _str(value)
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return _obj(pad, **{k: _json(v, pad + "  ") for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return _arr([_json(v, pad + "  ") for v in value], pad)
+    # true, false, null, NaN, Infinity and -Infinity; any other type raises
+    return json.dumps(value)
+
+
+def _state_text(state: StateVector, spec: ModelSpec, pad: str) -> str:
+    labels = spec.labels_flat(state.side)
+    return _obj(
+        pad,
+        side=_str(state.side.value),
+        bits=_arr(map(_BIT.__getitem__, state.bits), pad + "  "),
+        blocked=_str(state.blocked_str()),
+        on=_arr([_str(labels[i]) for i in state.on_indices], pad + "  "),
+    )
+
+
+def _pattern_text(pattern: HiddenPattern, spec: ModelSpec, pad: str) -> str:
     """A report's ``pattern`` block, naming ``spec``'s labels."""
-    domain_labels = spec.labels_flat(Side.DOMAIN)
-    range_labels = spec.labels_flat(Side.RANGE)
-    return {
-        "kind": pattern.kind.value,
-        "period": pattern.period,
-        "steps_to_enter": pattern.steps_to_enter,
-        "pairs": [
-            {
-                "domain": _state_dict(d, domain_labels),
-                "range": _state_dict(r, range_labels),
-            }
-            for d, r in pattern.pair_sequence
-        ],
-    }
+    pairs = []
+    for d, r in pattern.pair_sequence:
+        domain = _state_text(d, spec, pad + "      ")
+        # a one-sided pattern holds the same state in both slots
+        rng = domain if r is d else _state_text(r, spec, pad + "      ")
+        pairs.append(_obj(pad + "    ", domain=domain, range=rng))
+    return _obj(
+        pad,
+        kind=_str(pattern.kind.value),
+        period=str(pattern.period),
+        steps_to_enter=str(pattern.steps_to_enter),
+        pairs=_arr(pairs, pad + "  "),
+    )
 
 
 def report_to_dict(report: RunReport) -> dict:
-    pat = report.pattern
-    out = {
-        "report_version": REPORT_VERSION,
-        "model": report.spec.name,
-        "seed": {
-            "side": report.seed.side.value,
-            "labels": list(report.on_labels(report.seed)),
-        },
-        "policy": report.policy.as_dict(),
-        "pattern": _pattern_dict(pat, report.spec),
-    }
-    if report.include_trace and pat.trace is not None:
-        out["steps"] = [
-            {
-                "step": rec.step_index,
-                "produced_side": rec.produced_side.value,
-                "rule": rec.rule_applied.as_dict(),
-                "raw": [_plain(v) for v in rec.raw],
-                "thresholded": list(rec.thresholded),
-                "after_update": list(rec.after_update),
-            }
-            for rec in pat.trace
-        ]
-    return out
+    """The report as :func:`serialize_report` writes it."""
+    return json.loads(serialize_report(report))
 
 
 def serialize_report(report: RunReport) -> str:
     """Canonical JSON text for a run report (byte-stable)."""
-    return json.dumps(report_to_dict(report), indent=2, ensure_ascii=True) + "\n"
+    pat, seed = report.pattern, report.seed
+    labels = map(_str, report.on_labels(seed))
+    members = dict(
+        report_version=str(REPORT_VERSION),
+        model=_str(report.spec.name),
+        seed=_obj("  ", side=_str(seed.side.value), labels=_arr(labels, "    ")),
+        policy=_json(report.policy.as_dict(), "  "),
+        pattern=_pattern_text(pat, report.spec, "  "),
+    )
+    if report.include_trace and pat.trace is not None:
+        # a trace repeats few sums: each is written once
+        number = _Memo(lambda x: _json(_plain(x))).__getitem__
+        steps = [
+            _obj(
+                "    ",
+                step=str(rec.step_index),
+                produced_side=_str(rec.produced_side.value),
+                rule=_json(rec.rule_applied.as_dict(), "      "),
+                raw=_arr(map(number, rec.raw), "      "),
+                thresholded=_arr(map(_BIT.__getitem__, rec.thresholded), "      "),
+                after_update=_arr(map(_BIT.__getitem__, rec.after_update), "      "),
+            )
+            for rec in pat.trace
+        ]
+        members["steps"] = _arr(steps, "  ")
+    return _obj("", **members) + "\n"
 
 
 def report_to_text(report: RunReport) -> str:
@@ -467,7 +499,7 @@ def emit_dot(spec: ModelSpec) -> str:
     """
     spec.require_valid()
     # DOT has no \u escape: names and labels are written as they are
-    lines = [f"digraph {_jstr(spec.name or 'model', False)} {{"]
+    lines = [f"digraph {_str_utf8(spec.name or 'model')} {{"]
     lines.append("  rankdir=LR;")
     if spec.one_sided:
         sides = (("n", spec.domain_labels, spec.matrix.row_partition),)
@@ -482,12 +514,12 @@ def emit_dot(spec: ModelSpec) -> str:
             lines.append(f"  subgraph cluster_{prefix}{b} {{")
             lines.append(f'    label="{prefix}-block {b + 1}";')
             for i, lab in enumerate(blk):
-                lines.append(f"    {prefix}{off + i} [label={_jstr(lab, False)}];")
+                lines.append(f"    {prefix}{off + i} [label={_str_utf8(lab)}];")
             lines.append("  }")
     src_prefix = "n" if spec.one_sided else "d"
     dst_prefix = "n" if spec.one_sided else "r"
     attrs = _Memo(
-        lambda w: f"label={_jstr(_num(w))}" + (", style=dashed" if w < 0 else "")
+        lambda w: f"label={_str(_num(w))}" + (", style=dashed" if w < 0 else "")
     )
     rows, cols = np.nonzero(spec.matrix.entries)
     weights = spec.matrix.entries[rows, cols]
@@ -502,14 +534,16 @@ def emit_dot(spec: ModelSpec) -> str:
 # --- bundled fixtures ---------------------------------------------------------
 
 
+_FIXTURE_DIR = resources.files(__package__) / "fixtures"
+
+
 def fixture_text(name: str) -> str:
     """Raw canonical bytes of a bundled fixture document."""
     if name not in FIXTURE_NAMES:
         raise UnknownFixture(
             f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}"
         )
-    ref = resources.files(__package__).joinpath("fixtures", f"{name}.json")
-    return ref.read_text(encoding="utf-8")
+    return (_FIXTURE_DIR / f"{name}.json").read_text(encoding="utf-8")
 
 
 def load_fixture(name: str) -> ModelSpec:

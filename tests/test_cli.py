@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from fuzzymaps import (
+    FIXTURE_NAMES,
     Comparator,
     Side,
     ThresholdRule,
@@ -423,6 +424,24 @@ class TestAttractors:
         assert code == 4
         assert "exceed" in err
 
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_max_states_below_two_is_usage_error(self, capsys, limit):
+        code, out, err = run_cli(
+            capsys, "attractors", "--fixture", "sec_2_4", "--side", "domain",
+            "--max-states", limit,
+        )
+        assert code == 2 and out == ""
+        assert "max-states must be at least 2" in err
+
+    def test_max_states_of_two_is_a_resource_bound(self, capsys):
+        # every census has at least 2 seeds, so 2 is the smallest usable limit
+        code, out, err = run_cli(
+            capsys, "attractors", "--fixture", "sec_2_4", "--side", "domain",
+            "--max-states", "2",
+        )
+        assert code == 4 and out == ""
+        assert err == "error: 2^13 = 8192 seeds exceed the limit of 2\n"
+
     def test_text_output(self, capsys):
         code, out, err = run_cli(
             capsys, "attractors", "--fixture", "ex_1_2_2", "--side", "range"
@@ -524,19 +543,35 @@ class TestPinnedOutput:
              "6e149fb1f021ca0e4385ec8ba338c5e5abe0e48f8c652988685d98741aefe4e0"),
             (["validate", "--fixture", "sec_2_5_fcm", "--json"],
              "9260adc2f9c4298e5e8b80f09770c00eb50001704fc535304fcafd69a66f4aa4"),
+            # recorded while dot --json was still written by json.dumps
+            (["dot", "--json", "--fixture", "sec_2_4"],
+             "2c97b68fff28a2570cd2d11697536b3353d4471ac638358404c33ba7d7e56c86"),
         ],
         ids=[
             "run-ex_1_2_1", "run-sec_2_2-domain", "run-sec_2_2-range",
             "run-sec_2_5_fcm", "run-sec_2_2-flags", "run-ex_1_2_1-flags",
             "sweep-ex_1_2_1", "sweep-sec_2_2-domain", "sweep-sec_2_2-range",
             "sweep-sec_2_5_fcm", "sweep-sec_2_2-flags", "validate-ex_1_2_1",
-            "validate-sec_2_2", "validate-sec_2_5_fcm",
+            "validate-sec_2_2", "validate-sec_2_5_fcm", "dot-sec_2_4",
         ],
     )
     def test_output_bytes_pinned(self, capsys, argv, digest):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_invalid_model_json_pinned(self, capsys, tmp_path):
+        # recorded while validate --json was still written by json.dumps
+        doc = json.loads(fixture_text("ex_1_2_1"))
+        doc["matrix"][0][0] = 2
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "validate", str(path), "--json")
+        assert code == 3
+        assert out == (
+            '{\n  "valid": false,\n  "error": "entry_domain at matrix[0][0]: '
+            'entry 2 outside signed_ternary"\n}\n'
+        )
 
     # the text report of a traced run, recorded before raw sums, cutoffs and
     # model documents shared one number renderer
@@ -587,6 +622,30 @@ class TestDot:
         )
         assert code == 0
         assert target.read_text().startswith("digraph")
+
+
+class TestJsonLayout:
+    """Every ``--json`` document is what ``json.dumps`` writes at indent 2."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_documents_are_fixed_points_of_the_encoder(self, capsys, name):
+        spec = load_fixture(name)
+        argvs = [["validate"], ["dot"]]
+        for side in (Side.DOMAIN,) if spec.one_sided else (Side.DOMAIN, Side.RANGE):
+            n = len(spec.labels_flat(side))
+            flags = ["--side", side.value]
+            argvs += [
+                ["run", *flags, "--on", str(i), "--trace"] for i in range(1, n + 1)
+            ]
+            argvs.append(["sweep", *flags])
+            # re-encoding a 2^18 census (86 MB) takes the pure-Python encoder
+            # about 10 s and 900 MB; the smaller censuses take the same path
+            if n <= 16:
+                argvs.append(["attractors", *flags])
+        for argv in argvs:
+            code, out, err = run_cli(capsys, *argv, "--fixture", name, "--json")
+            assert code == 0, (argv, err)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 class TestRepeatedCalls:

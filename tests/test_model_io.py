@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzymaps import (
@@ -34,7 +35,7 @@ from fuzzymaps.errors import (
     ModelValidationError,
     UnknownFixture,
 )
-from fuzzymaps.model_io import _num
+from fuzzymaps.model_io import _json, _num, report_to_dict
 
 # nonzero entry counts of the bundled matrices, counted independently
 FIXTURE_NONZEROS = {
@@ -203,6 +204,7 @@ class TestReports:
     def test_pair_states_match_golden(self):
         report = self.run_report()
         payload = json.loads(serialize_report(report))
+        assert report_to_dict(report) == payload
         pair = payload["pattern"]["pairs"][0]
         assert pair["domain"]["bits"] == [1, 1, 1, 1, 1]
         assert pair["range"]["bits"] == [1] * 12
@@ -512,6 +514,33 @@ class TestGeneratedRoundTrip:
             for j in range(n_cols)
             if (w := float(entries[i, j])) != 0.0
         ]
+
+
+# strings with non-ASCII letters, control characters, quotes and backslashes
+_JSON_TEXT = st.text() | st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té名\U0001f600'))
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e16, 5e-324, 0.1])
+    | _JSON_TEXT
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=500, deadline=None)
+    @given(_JSON_TREES)
+    @example({"pad": [], "b": {}, "c": ((),), "d": [math.nan, -math.inf, math.inf]})
+    def test_equals_the_stdlib_encoder(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
 
 
 class TestParseMemory:
