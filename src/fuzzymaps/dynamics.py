@@ -178,6 +178,9 @@ class ThresholdPolicy:
         return seed.count_on == 1
 
 
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a state's bits as their digits
+
+
 def _filled(cls, **fields):
     """An instance of the frozen dataclass ``cls`` holding ``fields``, with
     no checks: one update of its ``__dict__`` costs about half of
@@ -266,12 +269,9 @@ class StateVector:
 
     def blocked_str(self) -> str:
         """Render like ``110|010`` with bars at partition cuts."""
+        digits = bytes(self.bits).translate(_DIGITS).decode()
         off = self.partition.offsets
-        parts = [
-            "".join(str(b) for b in self.bits[off[i] : off[i + 1]])
-            for i in range(self.partition.n_blocks)
-        ]
-        return "|".join(parts)
+        return "|".join([digits[a:b] for a, b in zip(off, off[1:])])
 
 
 @dataclass(frozen=True)
@@ -490,48 +490,38 @@ def _run(
 
     Every row is a seed on ``side``; ``first`` says whether the policy's
     first-step rule thresholds the block's first product.  A product is one
-    matmul of the live rows, one compare against the cutoff and, on the
-    seed's side, ``| seeds`` of the live rows.  The block is held as
-    (B x 1 x n), so the matmul runs each row as its own ``x @ M`` (``M @
-    x`` backward), the product :func:`special_product` computes, and a
-    row's raw sums do not depend on the rows beside it: one matrix product
-    of the whole block would add fuzzy entries in another order.  Each row
-    keeps a dict of its own packed seed-side states, in round order; the
-    first key a row sees twice closes its cycle and drops the row from the
-    block.  Only a block of one row may record a trace.  The patterns are
-    built once, after the loop: one per row, ``None`` where no seed-side
-    state recurred within ``max_steps`` products.
+    :func:`_move` of the live rows: a matrix product, one compare and, on
+    the seed's side, ``| seeds`` of the live rows.  Each move's product is
+    chosen once per run: one float32 gemm of the whole block where the map's
+    sums are exact in float32, else one float64 gemv per row, so fuzzy sums
+    keep :func:`special_product`'s order.  Each row keeps a dict of its own
+    packed seed-side states, in round order; the first key a row sees twice
+    closes its cycle and drops the row from the block.  Only a block of one
+    row may record a trace.  The patterns are built once, after the loop:
+    one per row, ``None`` where no seed-side state recurred within
+    ``max_steps`` products.
     """
-    # ``x @ grid`` from a state on the seed's side
-    grid = matrix.entries if one_sided or side is Side.DOMAIN else matrix.entries.T
-
-    def move(grid: np.ndarray, produced: Side, rule: ThresholdRule):
-        return grid, produced, rule, rule.compare, rule.cutoff, produced is side
-
-    if one_sided:
-        moves = [move(grid, side, policy.rule_for(side))]
-    else:
-        opp_side = side.opposite
-        moves = [
-            move(grid, opp_side, policy.rule_for(opp_side)),
-            move(grid.T, side, policy.rule_for(side)),
-        ]
+    forward = one_sided or side is Side.DOMAIN  # ``x @ M`` from the seed's side
+    produced = side if one_sided else side.opposite
+    moves = [_move(matrix, forward, produced, policy.rule_for(produced), one_sided)]
+    if not one_sided:
+        moves.append(_move(matrix, not forward, side, policy.rule_for(side), True))
     opening = moves[0]
     if first:
-        opening = move(*opening[:2], policy.first_step_rule)
+        opening = _move(matrix, forward, produced, policy.first_step_rule, one_sided)
     schedule = itertools.chain([opening], itertools.cycle(moves[1:] + moves[:1]))
 
     # per seed row, the rounds before its cycle and its cycle's packed states
     cycles: list[Optional[tuple[int, list[bytes]]]] = [None] * seeds.shape[0]
-    width = -(-grid.shape[0] // 8)  # bytes in a packed seed-side row
+    width = -(-seeds.shape[1] // 8)  # bytes in a packed seed-side row
     rows = list(range(seeds.shape[0]))  # each live row's index in ``seeds``
     seen: list[dict[bytes, None]] = [{} for _ in rows]
     trace: list = []  # per product, (produced, rule, raw, bits, state)
-    state = seeds = seeds[:, None]
-    for grid, produced, rule, compare, cutoff, forced in itertools.islice(
+    state = seeds
+    for product, produced, rule, compare, cutoff, forced in itertools.islice(
         schedule, max_steps
     ):
-        raw = np.matmul(state, grid)
+        raw = product(state)
         bits = compare(raw, cutoff)
         state = bits | seeds if forced else bits
         if record_trace:
@@ -560,6 +550,41 @@ def _run(
     return _patterns(matrix, side, cycles, None if one_sided else moves[0], trace)
 
 
+def _threshold(rule: ThresholdRule, exact: bool) -> tuple:
+    """``(compare, cutoff)`` with ``compare(raw, cutoff)`` equal to ``rule``.
+    When ``exact``, raw sums are float32 integers below ``2**24`` in size, so
+    ``r > c`` iff ``r > floor(c)`` and ``r >= c`` iff ``r > ceil(c) - 1``:
+    NumPy may round the float cutoff itself to float32."""
+    if not exact:
+        return rule.compare, rule.cutoff
+    c = rule.cutoff
+    t = math.floor(c) if rule.comparator is Comparator.GT else math.ceil(c) - 1
+    return np.greater, np.float32(min(max(t, -(1 << 24)), 1 << 24))
+
+
+def _move(
+    matrix: SuperMatrix, forward: bool, side: Side, rule: ThresholdRule, forced: bool
+) -> tuple:
+    """One product of a run onto ``side``, ``(product, side, rule, compare,
+    cutoff, forced)``: ``compare(product(state), cutoff)`` thresholds a (B x
+    n) boolean block by ``rule`` after multiplying it by ``M`` (``forward``)
+    or ``M.T``.  With the float32 copy (:attr:`SuperMatrix._exact32`) the block
+    is one gemm, whose integer sums equal float64's in any order; otherwise
+    each row is its own float64 gemv, as in :func:`special_product`, so its
+    fuzzy sums do not depend on the rows beside it.
+    """
+    exact = matrix._exact32
+    grid = matrix.entries if exact is None else exact
+    grid = grid if forward else grid.T
+
+    def product(state: np.ndarray) -> np.ndarray:
+        if exact is None:
+            return np.matmul(state[:, None], grid)[:, 0]
+        return np.matmul(state, grid)
+
+    return (product, side, rule, *_threshold(rule, exact is not None), forced)
+
+
 def _patterns(
     matrix: SuperMatrix,
     side: Side,
@@ -571,20 +596,20 @@ def _patterns(
     ``s_t`` of its cycle, entered after ``j`` rounds (``None`` stays so).
     Pairs are ``(s_t, s_t)`` one-sided (``across`` is ``None``), ``(s_t,
     o_t)`` from the domain side and ``(o_t, s_{t+1})`` from the range side,
-    where ``o_t`` is ``across`` of ``s_t``: the run's move from the seed's
-    side with the side rule, as it opens a round after the first.  The
-    cycles move across as one (S x 1 x n) block, a gemv per state, so the
-    bits are the engine's own.
+    where ``o_t`` is ``across`` of ``s_t``: the run's :func:`_move` from the
+    seed's side with the side rule, as it opens a round after the first.
+    The cycles move across as one (S x n) block, so the bits are the
+    engine's own.
     """
     part = _side_partition(matrix, side)
     keys = [k for cycle in cycles if cycle for k in cycle[1]]
     width = -(-part.total // 8)  # bytes in a packed row
-    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), 1, width)
+    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), width)
     states = np.unpackbits(packed, axis=-1, count=part.total)
     mine = others = _vectors(states, side, part)
     if across is not None:
-        grid, produced, rule = across[:3]
-        bits = rule.compare(np.matmul(states.view(bool), grid), rule.cutoff)
+        product, produced, _, compare, cutoff = across[:5]
+        bits = compare(product(states.view(bool)), cutoff)
         others = _vectors(bits, produced, _side_partition(matrix, produced))
     patterns: list[Optional[HiddenPattern]] = []
     at = 0
@@ -611,8 +636,8 @@ def _patterns(
 
 
 def _vectors(states: np.ndarray, side: Side, part: Partition) -> list[StateVector]:
-    """One state on ``side`` per row of an (S x 1 x n) 0/1 block."""
-    return [StateVector._trusted(tuple(r.tobytes()), side, part) for r in states[:, 0]]
+    """One state on ``side`` per row of an (S x n) 0/1 block."""
+    return [StateVector._trusted(tuple(r.tobytes()), side, part) for r in states]
 
 
 def _records(trace: list) -> tuple[StepRecord, ...]:
@@ -622,9 +647,9 @@ def _records(trace: list) -> tuple[StepRecord, ...]:
             StepRecord,
             step_index=k,
             produced_side=produced,
-            raw=tuple(raw[0, 0].tolist()),
-            thresholded=tuple(bits[0, 0].tobytes()),
-            after_update=tuple(state[0, 0].tobytes()),
+            raw=tuple(raw[0].tolist()),
+            thresholded=tuple(bits[0].tobytes()),
+            after_update=tuple(state[0].tobytes()),
             rule_applied=rule,
         )
         for k, (produced, rule, raw, bits, state) in enumerate(trace, 1)
@@ -887,13 +912,13 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
 
 
 def _pack(
-    columns: Iterable[np.ndarray], rule: ThresholdRule, out: np.ndarray
+    columns: Iterable[np.ndarray], compare: np.ufunc, cutoff, out: np.ndarray
 ) -> None:
-    """Set bit ``j`` of ``out[s]`` iff ``rule`` holds for ``columns[j][s]``."""
+    """Set bit ``j`` of ``out[s]`` iff ``compare(columns[j][s], cutoff)``."""
     out[...] = 0
     hit = np.empty_like(out)
     for j, column in enumerate(columns):
-        rule.compare(column, rule.cutoff, out=hit)
+        compare(column, cutoff, out=hit)
         np.left_shift(hit, j, out=hit)
         out |= hit
 
@@ -908,10 +933,12 @@ class _RoundMap:
     column, one add, one threshold, one shift and one OR into the chunk's
     bitmasks, with no float block of the whole chunk.  A two-sided round
     thresholds into a 0/1 block, one row per mask, and multiplies it back to
-    the seed side as ``bits @ grid_t``.  Sums of integer entries are exact
-    in any order; on fuzzy entries the order is part of the result, so each
-    low-bit sum adds its rows in increasing order and each raw sum adds the
-    low part to the high part once.
+    the seed side as one product, in float32 where the map has a float32
+    copy (:attr:`SuperMatrix._exact32`), thresholded as :func:`_threshold`
+    says, else in float64.  Sums of integer entries are exact in any order; on fuzzy
+    entries the order is part of the result, so each low-bit sum adds its
+    rows in increasing order and each raw sum adds the low part to the high
+    part once.
     """
 
     def __init__(
@@ -931,11 +958,13 @@ class _RoundMap:
         self.k = min(n, _LOW_BITS)
         self.low = _subset_sums(grid[: self.k])
         self.high = _subset_sums(grid[self.k :])
-        if one_sided:
-            self.rule, self.back = policy.rule_for(side), None
-        else:
+        self.rule, self.back = policy.rule_for(side), None
+        if not one_sided:  # the seed side's rule thresholds the back product
+            exact = matrix._exact32
+            back = matrix.entries if exact is None else exact
+            back = back.T if side is Side.DOMAIN else back
+            self.back = (back, *_threshold(self.rule, exact is not None))
             self.rule = policy.rule_for(side.opposite)
-            self.back = (grid.T, policy.rule_for(side))
 
     def _next(
         self,
@@ -946,13 +975,14 @@ class _RoundMap:
         """Write each mask's next state to ``out``, from the raw sums of the
         round's first product, which ``sums`` yields one column at a time."""
         rule = first_rule or self.rule
+        compare, cutoff = rule.compare, rule.cutoff
         if self.back is not None:
             bits = np.empty((out.shape[0], self.width), dtype=bool)
             for j, column in enumerate(sums):
-                rule.compare(column, rule.cutoff, out=bits[:, j])
-            grid_t, rule = self.back
+                compare(column, cutoff, out=bits[:, j])
+            grid_t, compare, cutoff = self.back
             sums = (bits.view(np.uint8) @ grid_t).T
-        _pack(sums, rule, out)
+        _pack(sums, compare, cutoff, out)
 
     def fill(self, first_rule: Optional[ThresholdRule], out: np.ndarray) -> None:
         """Write the next state of every mask to ``out``; ``first_rule``

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -120,8 +121,8 @@ def partition_from_cuts(total: int, cuts: Iterable[int]) -> Partition:
     return Partition(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _freeze(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -221,6 +222,18 @@ class SuperMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.entries.shape
+
+    @cached_property
+    def _exact32(self) -> "np.ndarray | None":
+        """The entries as read-only float32 if they are integers whose
+        magnitudes sum below ``2**24``, else ``None``: that bounds every
+        partial sum of a 0/1 product, so float32 adds them exactly in any
+        order."""
+        e = self.entries
+        with np.errstate(over="ignore"):  # a total past float64 is inf: refused
+            if not ((np.trunc(e) == e).all() and np.abs(e).sum() < 2**24):
+                return None
+        return _freeze(e, np.float32)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMatrix):

@@ -512,10 +512,9 @@ class TestEngineCore:
         )
         policy = ThresholdPolicy(GT0, GE2)  # across results differ by rule
         if side is Side.DOMAIN:
-            part, grid, cycle = m.row_partition, m.entries, [bits("110"), bits("011")]
+            part, cycle = m.row_partition, [bits("110"), bits("011")]
         else:
-            part, grid = m.col_partition, m.entries.T
-            cycle = [bits("1100"), bits("0011")]
+            part, cycle = m.col_partition, [bits("1100"), bits("0011")]
         seed = StateVector.zeros(side, part)
 
         def across(state_bits):  # one product from the seed's side, not the first
@@ -524,7 +523,10 @@ class TestEngineCore:
 
         assert across(cycle[0]) != across(cycle[1])
         keys = [np.packbits(c).tobytes() for c in cycle]
-        move = (grid, side.opposite, policy.rule_for(side.opposite))
+        forward = side is Side.DOMAIN
+        move = dynamics._move(
+            m, forward, side.opposite, policy.rule_for(side.opposite), False
+        )
         (hp,) = dynamics._patterns(m, side, [(3, keys)], move, [])
         assert (hp.kind, hp.period, hp.steps_to_enter, hp.trace) == (
             PatternKind.LIMIT_CYCLE, 2, 3, None
@@ -550,6 +552,76 @@ def _traced_peak(call):
         return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class TestExactProduct:
+    """Integer maps multiply in float32 against integer-equivalent cutoffs;
+    any other map keeps the float64 per-row product."""
+
+    @pytest.mark.parametrize(
+        "rule, on",
+        [
+            (ThresholdRule(Comparator.GT, 2.9999999999), True),
+            (ThresholdRule(Comparator.GE, 3.0000000001), False),
+        ],
+    )
+    def test_a_sum_of_3_against_a_near_tie_cutoff(self, rule, on):
+        # node 3 sums 3 from the seed: in float32 either cutoff rounds to 3.0
+        fcm = np.zeros((4, 4))
+        fcm[:3, 3] = 1
+        frm = [[1, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 1]]
+        never = FirstStepMode.NEVER
+        cases = [
+            (SuperMatrix.simple(fcm), True, ThresholdPolicy(rule, rule), 0b0111),
+            (SuperMatrix.simple(frm), False, ThresholdPolicy(rule, GT0), 0b0001),
+        ]
+        for m, one_sided, policy, mask in cases:
+            policy = replace(policy, first_step_mode=never)
+            seed = seed_state(mask, Side.DOMAIN, m.row_partition)
+            assert m._exact32 is not None
+            hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided)
+            assert hp == stepped_pattern(m, seed, policy, one_sided, True)
+            record = hp.trace[0 if one_sided else 1]
+            assert (record.raw[3], record.thresholded[3]) == (3.0, on)
+            assert hp.fixed_pair[0].bits[3] == on
+            census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=one_sided)
+            assert census.attractor_of(seed).states == (mask | on << 3,)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [[1, 0.5, 0], [0, 1, 1], [1, 1, 0]],  # one entry not an integer
+            [[2**23, -1, 0], [0, 0, 2**22], [1, 0, 2**22 - 2]],  # total 2**24
+        ],
+    )
+    def test_other_maps_keep_the_float64_product(self, entries):
+        m = SuperMatrix.simple(entries)
+        assert m._exact32 is None
+        policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GE, 1.5))
+        for side, one_sided in itertools.product(Side, (False, True)):
+            part = m.row_partition if side is Side.DOMAIN else m.col_partition
+            rows = sweep_unit_seeds(m, side, policy, one_sided=one_sided)
+            census = enumerate_attractors(m, side, policy, one_sided=one_sided)
+            for mask in range(1 << part.total):
+                seed = seed_state(mask, side, part)
+                hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided)
+                assert hp == stepped_pattern(m, seed, policy, one_sided, True)
+                got = canonical(pattern_cycle_masks(hp, side))
+                assert got == census.attractor_of(mask).states
+                if mask.bit_count() == 1:
+                    assert replace(hp, trace=None) == rows[mask.bit_length() - 1][1]
+
+    def test_peak_memory_of_a_two_sided_census(self):
+        # 2**18 seeds in chunks of 2**16: each chunk's 0/1 block goes back
+        # through the float32 copy, not a float64 cast and product
+        rng = np.random.default_rng(18)
+        m = SuperMatrix.simple(rng.choice([-1.0, 0.0, 1.0], size=(18, 20)))
+        policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GT, 1))
+        census, peak = _traced_peak(
+            lambda: enumerate_attractors(m, Side.DOMAIN, policy, state_limit=1 << 18)
+        )
+        assert census.n_seeds == 1 << 18
+        assert peak <= 25 * 2**20
 
 
 def _path(n: int, backward: bool = False) -> SuperMatrix:
@@ -1042,22 +1114,23 @@ def _split(draw, total: int) -> Partition:
 
 
 @st.composite
-def engine_cases(draw):
+def engine_cases(draw, entry=None, cutoff=st.sampled_from(CUTOFFS)):
+    """A map, side, policy, ``one_sided`` and ``record_trace``; entries are
+    drawn by ``entry``, or all ternary or all fuzzy when it is ``None``."""
     one_sided = draw(st.booleans())
     rows = draw(st.integers(1, 9))
     cols = rows if one_sided else draw(st.integers(1, 9))
-    values = draw(st.sampled_from([TERNARY, FUZZY]))
-    entries = draw(
-        st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols)
-    )
-    rule = st.builds(
-        ThresholdRule, st.sampled_from(list(Comparator)), st.sampled_from(CUTOFFS)
-    )
+    if entry is None:
+        entry = st.sampled_from(draw(st.sampled_from([TERNARY, FUZZY])))
+    entries = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    rule = st.builds(ThresholdRule, st.sampled_from(list(Comparator)), cutoff)
     policy = ThresholdPolicy(
         draw(rule), draw(rule), draw(rule), draw(st.sampled_from(list(FirstStepMode)))
     )
     m = SuperMatrix(
-        np.array(entries).reshape(rows, cols), _split(draw, rows), _split(draw, cols)
+        np.array(entries, float).reshape(rows, cols),
+        _split(draw, rows),
+        _split(draw, cols),
     )
     side = draw(st.sampled_from(list(Side)))
     return m, side, policy, one_sided, draw(st.booleans())
@@ -1066,7 +1139,13 @@ def engine_cases(draw):
 @given(engine_cases(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_sweep_equals_stepped_reference(case, data):
-    m, side, policy, one_sided, trace = case
+    _assert_engine_is_stepped(*case, data)
+
+
+def _assert_engine_is_stepped(m, side, policy, one_sided, trace, data):
+    """The unit-seed sweep and one run from a drawn seed equal
+    :func:`stepped_pattern`; returns that run, or ``None`` where a unit seed
+    reaches the step limit."""
     part = m.row_partition if side is Side.DOMAIN else m.col_partition
     expected = [
         stepped_pattern(m, seed_state(1 << i, side, part), policy, one_sided, False)
@@ -1075,14 +1154,41 @@ def test_sweep_equals_stepped_reference(case, data):
     if None in expected:
         with pytest.raises(StepLimitExceeded):
             sweep_unit_seeds(m, side, policy, one_sided=one_sided)
-        return
+        return None
     rows = sweep_unit_seeds(m, side, policy, one_sided=one_sided)
     assert rows == tuple(enumerate(expected))
     # one run, a block of one row, from any seed, traced or not
     seed = seed_state(data.draw(st.integers(0, (1 << part.total) - 1)), side, part)
-    assert run_hidden_pattern(
-        m, seed, policy, one_sided=one_sided, record_trace=trace
-    ) == stepped_pattern(m, seed, policy, one_sided, trace)
+    hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided, record_trace=trace)
+    assert hp == stepped_pattern(m, seed, policy, one_sided, trace)
+    return seed, hp
+
+
+# integer cutoffs moved by less than float32 resolves, halves, cutoffs past
+# every float32-exact sum and past the float32 range
+_NEAR_INTEGER = st.one_of(
+    st.builds(
+        lambda k, d: k + d, st.integers(-4, 4), st.sampled_from((-(2**-30), 2**-30))
+    ),
+    st.builds(lambda k: k + 0.5, st.integers(-4, 4)),
+    st.sampled_from((2**24 + 3.0, -(2**24 + 3.0), 1e40, -1e40)),
+)
+
+
+@given(engine_cases(st.integers(-3, 3), _NEAR_INTEGER), st.data())
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("error")  # no cutoff overflows float32
+def test_exact_product_equals_stepped_reference(case, data):
+    # integer maps take the float32 product; near-integer cutoffs would
+    # round onto the sums if the float cutoff were compared in float32
+    m, side, policy, one_sided, _ = case
+    assert m._exact32 is not None
+    run = _assert_engine_is_stepped(*case, data)
+    if run is not None:
+        seed, hp = run
+        census = enumerate_attractors(m, side, policy, one_sided=one_sided)
+        got = canonical(pattern_cycle_masks(hp, side))
+        assert got == census.attractor_of(seed).states
 
 
 @given(matrices_with_vectors())
