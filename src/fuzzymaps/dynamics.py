@@ -29,7 +29,7 @@ from .errors import (
     StateSpaceTooLarge,
     StepLimitExceeded,
 )
-from .supermatrix import Orientation, Partition, SuperMatrix, SuperVector
+from .supermatrix import _F32_EXACT, Orientation, Partition, SuperMatrix, SuperVector
 
 __all__ = [
     "Side",
@@ -134,6 +134,13 @@ class ThresholdPolicy:
         object.__setattr__(
             self, "first_step_mode", FirstStepMode(self.first_step_mode)
         )
+        # a NaN cutoff compares false everywhere and an infinite one settles
+        # every comparison: such a policy would run to a meaningless pattern
+        for where, rule in self.named_rules():
+            if not math.isfinite(rule.cutoff):
+                raise NonFiniteCutoff(
+                    f"cutoff at policy.{where}: cutoff {rule.cutoff} is not finite"
+                )
 
     def rule_for(self, side: Side) -> ThresholdRule:
         return self.domain_rule if side is Side.DOMAIN else self.range_rule
@@ -156,19 +163,6 @@ class ThresholdPolicy:
             ("range", self.range_rule),
             ("first_step", self.first_step_rule),
         )
-
-    def require_finite(self) -> None:
-        """Raise :class:`NonFiniteCutoff` naming the first non-finite cutoff.
-
-        A NaN cutoff compares false everywhere and an infinite one settles
-        every comparison, so such a policy would run without error and
-        return a pattern that means nothing.
-        """
-        for where, rule in self.named_rules():
-            if not math.isfinite(rule.cutoff):
-                raise NonFiniteCutoff(
-                    f"policy.{where}.cutoff: must be finite, got {rule.cutoff!r}"
-                )
 
     def first_step_applies(self, seed: "StateVector", step_index: int) -> bool:
         if step_index != 1 or self.first_step_mode is FirstStepMode.NEVER:
@@ -426,16 +420,11 @@ def _check_run(
     max_steps: int,
     one_sided: bool,
 ) -> None:
-    policy.require_finite()
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
     if one_sided and matrix.n_rows != matrix.n_cols:
         raise DimensionMismatch("one-sided runs need a square matrix")
-    expect = matrix.n_rows if seed.side is Side.DOMAIN else matrix.n_cols
-    if len(seed) != expect:
-        raise DimensionMismatch(
-            f"seed on {seed.side.value} side needs length {expect}, got {len(seed)}"
-        )
+    # the partition fixes the seed's length too
     if seed.partition != _side_partition(matrix, seed.side):
         raise DimensionMismatch("seed partition does not match the matrix")
 
@@ -552,14 +541,14 @@ def _run(
 
 def _threshold(rule: ThresholdRule, exact: bool) -> tuple:
     """``(compare, cutoff)`` with ``compare(raw, cutoff)`` equal to ``rule``.
-    When ``exact``, raw sums are float32 integers below ``2**24`` in size, so
+    When ``exact``, raw sums are float32 integers below ``_F32_EXACT`` in size, so
     ``r > c`` iff ``r > floor(c)`` and ``r >= c`` iff ``r > ceil(c) - 1``:
     NumPy may round the float cutoff itself to float32."""
     if not exact:
         return rule.compare, rule.cutoff
     c = rule.cutoff
     t = math.floor(c) if rule.comparator is Comparator.GT else math.ceil(c) - 1
-    return np.greater, np.float32(min(max(t, -(1 << 24)), 1 << 24))
+    return np.greater, np.float32(min(max(t, -_F32_EXACT), _F32_EXACT))
 
 
 def _move(
@@ -1037,7 +1026,6 @@ def enumerate_attractors(
     bitmask transitions here) so each checks the other.  Basin sizes sum to
     ``2 ** n``.
     """
-    policy.require_finite()
     side = Side(side)
     part = _side_partition(matrix, side)
     if one_sided and matrix.n_rows != matrix.n_cols:

@@ -51,10 +51,6 @@ class StateSpaceTooLarge(FuzzyMapsError, ValueError):
     pass
 
 
-class NonFiniteCutoff(FuzzyMapsError, ValueError):
-    """A threshold policy handed to the engine has a NaN or infinite cutoff."""
-
-
 class UnknownLabel(FuzzyMapsError, ValueError):
     pass
 
@@ -77,3 +73,7 @@ class ModelSchemaError(FuzzyMapsError, ValueError):
 
 class ModelValidationError(FuzzyMapsError, ValueError):
     """The document parses but the model it describes is inconsistent."""
+
+
+class NonFiniteCutoff(ModelValidationError):
+    """A threshold policy was built with a NaN or infinite cutoff."""

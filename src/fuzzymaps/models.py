@@ -8,7 +8,6 @@ from the two partitions, never from prose names.
 from __future__ import annotations
 
 import difflib
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -209,16 +208,6 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                 f"entry {_num(v)} outside {spec.entry_domain.value}",
             )
         )
-
-    for where, rule in spec.policy.named_rules():
-        if not math.isfinite(rule.cutoff):
-            out.append(
-                Diagnostic(
-                    "cutoff",
-                    f"policy.{where}",
-                    f"cutoff {_num(rule.cutoff)} is not finite",
-                )
-            )
 
     if spec.kind is ModelKind.FCM:
         if m.n_rows != m.n_cols:

@@ -39,6 +39,9 @@ __all__ = [
     "check_entry_domain",
 ]
 
+# float32 holds every integer below this in magnitude exactly
+_F32_EXACT = 2**24
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -226,12 +229,12 @@ class SuperMatrix:
     @cached_property
     def _exact32(self) -> "np.ndarray | None":
         """The entries as read-only float32 if they are integers whose
-        magnitudes sum below ``2**24``, else ``None``: that bounds every
+        magnitudes sum below ``_F32_EXACT``, else ``None``: that bounds every
         partial sum of a 0/1 product, so float32 adds them exactly in any
         order."""
         e = self.entries
         with np.errstate(over="ignore"):  # a total past float64 is inf: refused
-            if not ((np.trunc(e) == e).all() and np.abs(e).sum() < 2**24):
+            if not ((np.trunc(e) == e).all() and np.abs(e).sum() < _F32_EXACT):
                 return None
         return _freeze(e, np.float32)
 

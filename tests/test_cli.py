@@ -74,6 +74,11 @@ class TestValidate:
         assert code == 3
         assert expected in err
 
+    def test_model_path_that_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", str(tmp_path))
+        assert code == 2
+        assert "cannot read model" in err
+
     def test_no_input(self, capsys):
         code, out, err = run_cli(capsys, "validate")
         assert code == 2
@@ -321,6 +326,15 @@ class TestRun:
             "--threshold-domain", "gte/2",
         )
         assert code == 2
+
+    def test_cutoff_that_is_not_a_number(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "run", "--fixture", "sec_2_5_fcm", "--on", "R1",
+            "--threshold-domain", "gt:abc",
+        )
+        assert code == 2
+        assert "--threshold-domain: cutoff 'abc' is not a number" in err
 
     @pytest.mark.parametrize("rule", ["gt:nan", "ge:inf", "ge:-inf", "gt:NaN"])
     @pytest.mark.parametrize("flag", ["--threshold-domain", "--threshold-range",

@@ -25,6 +25,7 @@ from fuzzymaps import (
     Side,
     StateVector,
     SuperMatrix,
+    SuperVector,
     ThresholdPolicy,
     ThresholdRule,
     apply_threshold,
@@ -145,6 +146,14 @@ class TestSpecialProduct:
             special_product([1, 0], PROD_12X5, Direction.FORWARD)
         with pytest.raises(DimensionMismatch):
             special_product([1, 0], PROD_12X5, Direction.BACKWARD)
+        with pytest.raises(DimensionMismatch, match="state must be one-dimensional"):
+            special_product(np.ones((1, 12)), PROD_12X5, Direction.FORWARD)
+
+    def test_a_super_vector_multiplies_by_its_entries(self):
+        x = SuperVector(np.array([1.0] * 5), GROUPS_5X12.row_partition)
+        raw = special_product(x, GROUPS_5X12, Direction.FORWARD)
+        assert raw == special_product([1] * 5, GROUPS_5X12, Direction.FORWARD)
+        assert raw.as_tuple() == tuple(GROUPS_5X12.entries.sum(axis=0))
 
 
 class TestThreshold:
@@ -303,6 +312,19 @@ class TestHiddenPattern:
         seed = seed_state(1, Side.DOMAIN, GROUPS_5X12.row_partition)
         with pytest.raises(ValueError):
             run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=1)
+
+    @pytest.mark.parametrize("sizes", [[4], [2, 3]])  # wrong length, other blocks
+    def test_seed_partition_must_match_the_matrix(self, sizes):
+        seed = seed_state(1, Side.DOMAIN, Partition(sizes))
+        with pytest.raises(DimensionMismatch, match="seed partition does not match"):
+            run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY)
+
+    def test_a_limit_cycle_has_no_fixed_pair(self):
+        m = SuperMatrix.simple([[-1, 1], [1, -1]])
+        seed = seed_state(1, Side.DOMAIN, m.row_partition)
+        hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
+        with pytest.raises(ValueError, match="not a fixed point"):
+            hp.fixed_pair
 
     def test_antisymmetric_two_node_matches_enumeration(self):
         m = SuperMatrix.simple([[0, 1], [-1, 0]])
@@ -610,6 +632,21 @@ class TestExactProduct:
                 assert got == census.attractor_of(mask).states
                 if mask.bit_count() == 1:
                     assert replace(hp, trace=None) == rows[mask.bit_length() - 1][1]
+
+    def test_a_sum_between_2_23_and_2_24(self):
+        # float32 cutoffs are clamped at 2**24: a clamp any lower would put
+        # node 1's sum of 2**23 + 5 above the cutoff of 2**23 + 10
+        m = SuperMatrix.simple([[0, 2**23 + 5], [0, 0]])
+        rule = ThresholdRule(Comparator.GT, 2**23 + 10)
+        policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
+        assert m._exact32 is not None
+        census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+        for mask in (0b01, 0b10, 0b11):
+            seed = seed_state(mask, Side.DOMAIN, m.row_partition)
+            hp = run_hidden_pattern(m, seed, policy, one_sided=True)
+            assert hp == stepped_pattern(m, seed, policy, True, True)
+            assert hp.fixed_pair[0].bits == seed.bits
+            assert census.attractor_of(mask).states == (mask,)
 
     def test_peak_memory_of_a_two_sided_census(self):
         # 2**18 seeds in chunks of 2**16: each chunk's 0/1 block goes back
@@ -1189,6 +1226,44 @@ def test_exact_product_equals_stepped_reference(case, data):
         census = enumerate_attractors(m, side, policy, one_sided=one_sided)
         got = canonical(pattern_cycle_masks(hp, side))
         assert got == census.attractor_of(seed).states
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_two_sided_energy_never_rises_on_integer_maps(data):
+    """Kosko's BAM energy ``E(x, y) = -x M y^T + c_D sum(x) + c_R sum(y)``,
+    with the domain and range cutoffs, never rises from the pair (seed, first
+    product) on: each product is a best state against the other side's, and
+    the seed-side states all hold the forced coordinates.  With exact sums
+    only a tie leaves E as it is, where a ``gt`` node can only switch off
+    and a ``ge`` node only on, so no state can cycle: every pattern is a
+    fixed point."""
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    entries = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                                 max_size=rows * cols))
+    grid = np.array(entries, float).reshape(rows, cols)
+    m = SuperMatrix.simple(grid)
+    cutoff = st.integers(-3, 3).flatmap(lambda k: st.sampled_from((k, k + 0.5)))
+    rule = st.builds(ThresholdRule, st.sampled_from(list(Comparator)), cutoff)
+    policy = ThresholdPolicy(
+        data.draw(rule),
+        data.draw(rule),
+        data.draw(rule),
+        data.draw(st.sampled_from(list(FirstStepMode))),
+    )
+    side = data.draw(st.sampled_from(list(Side)))
+    part = m.row_partition if side is Side.DOMAIN else m.col_partition
+    seed = seed_state(data.draw(st.integers(0, (1 << part.total) - 1)), side, part)
+    hp = run_hidden_pattern(m, seed, policy)
+    assert (hp.kind, hp.period) == (PatternKind.FIXED_POINT, 1)
+    c_d, c_r = policy.domain_rule.cutoff, policy.range_rule.cutoff
+    states, energies = {side: np.array(seed.bits)}, []
+    for record in hp.trace:
+        states[record.produced_side] = np.array(record.after_update)
+        x, y = states.get(Side.DOMAIN), states.get(Side.RANGE)
+        if x is not None and y is not None:
+            energies.append(-x @ grid @ y + c_d * x.sum() + c_r * y.sum())
+    assert all(b <= a for a, b in zip(energies, energies[1:]))
 
 
 @given(matrices_with_vectors())

@@ -167,15 +167,25 @@ class TestValidate:
     @pytest.mark.parametrize("field", ["domain_rule", "range_rule", "first_step_rule"])
     @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_cutoff_refused(self, field, cutoff):
-        policy = ThresholdPolicy(
-            ThresholdRule(Comparator.GT, 0), ThresholdRule(Comparator.GT, 0)
+        """No spec can hold such a policy: it is refused when it is built."""
+        rules = dict(
+            domain_rule=ThresholdRule(Comparator.GT, 0),
+            range_rule=ThresholdRule(Comparator.GT, 0),
         )
+        policy = ThresholdPolicy(**rules)
         rule = ThresholdRule(Comparator.GE, cutoff)
-        bad = tiny_spec(policy=replace(policy, **{field: rule}))
         where = "policy." + field.removesuffix("_rule")
-        assert [str(d) for d in validate_model(bad)] == [
-            f"cutoff at {where}: cutoff {cutoff:g} is not finite"
-        ]
+        for build in (
+            lambda: ThresholdPolicy(**{**rules, field: rule}),
+            lambda: replace(policy, **{field: rule}),
+        ):
+            with pytest.raises(NonFiniteCutoff) as err:
+                build()
+            for cls in (ModelValidationError, FuzzyMapsError, ValueError):
+                assert isinstance(err.value, cls)
+            assert str(err.value) == (
+                f"cutoff at {where}: cutoff {cutoff:g} is not finite"
+            )
 
 
 class TestSeeds:
@@ -376,22 +386,23 @@ _ENTRY_POINTS = {
 
 
 class TestNonFiniteCutoff:
-    """A NaN or infinite cutoff reaching the engine is refused, not run."""
+    """A NaN or infinite cutoff never reaches the engine: the policy holding
+    it cannot be built."""
 
     @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
     @pytest.mark.parametrize("where", ["domain", "range", "first_step"])
     @pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf")])
     def test_refused_at_every_entry_point(self, entry, where, cutoff):
         spec = load_fixture("sec_2_4")
-        policy = replace(
-            spec.policy, **{f"{where}_rule": ThresholdRule("gt", cutoff)}
-        )
         seed = seed_from_labels(spec, {"T7"}, Side.DOMAIN)
+        rule = ThresholdRule("gt", cutoff)
         with pytest.raises(NonFiniteCutoff) as err:
-            _ENTRY_POINTS[entry](spec, policy, seed)
-        assert isinstance(err.value, FuzzyMapsError)
-        assert isinstance(err.value, ValueError)
-        assert str(err.value).startswith(f"policy.{where}.cutoff: must be finite")
+            # replace() raises before the entry point is called
+            _ENTRY_POINTS[entry](spec, replace(spec.policy, **{f"{where}_rule": rule}), seed)
+        assert isinstance(err.value, ModelValidationError)
+        assert str(err.value) == (
+            f"cutoff at policy.{where}: cutoff {cutoff} is not finite"
+        )
 
     def test_finite_override_still_runs(self):
         spec = load_fixture("sec_2_4")

@@ -314,6 +314,16 @@ class TestValidation:
             SuperMatrix(np.zeros((3, 3)), Partition([2]), Partition([3]))
         with pytest.raises(DimensionMismatch):
             SuperVector(np.zeros(3), Partition([2]))
+        with pytest.raises(
+            DimensionMismatch, match="column partition covers 2 columns, matrix has 3"
+        ):
+            SuperMatrix(np.zeros((3, 3)), Partition([3]), Partition([2]))
+
+    def test_entries_must_have_their_dimension(self):
+        with pytest.raises(DimensionMismatch, match="vector entries must be one-dim"):
+            SuperVector(np.zeros((1, 3)), Partition([3]))
+        with pytest.raises(DimensionMismatch, match="matrix entries must be two-dim"):
+            SuperMatrix(np.zeros(3), Partition([3]), Partition([3]))
 
     def test_entries_immutable(self):
         m = m9x6()
