@@ -551,27 +551,34 @@ def _threshold(rule: ThresholdRule, exact: bool) -> tuple:
     return np.greater, np.float32(min(max(t, -_F32_EXACT), _F32_EXACT))
 
 
+def _operand(matrix: SuperMatrix, forward: bool) -> tuple[np.ndarray, bool]:
+    """``(grid, exact)``: the grid that ``state @ grid`` multiplies a block
+    by, ``M`` (``forward``) or ``M.T``, and whether it is the float32 copy
+    (:attr:`SuperMatrix._exact32`) rather than the float64 entries."""
+    exact = matrix._exact32
+    grid = matrix.entries if exact is None else exact
+    return (grid if forward else grid.T), exact is not None
+
+
 def _move(
     matrix: SuperMatrix, forward: bool, side: Side, rule: ThresholdRule, forced: bool
 ) -> tuple:
     """One product of a run onto ``side``, ``(product, side, rule, compare,
     cutoff, forced)``: ``compare(product(state), cutoff)`` thresholds a (B x
-    n) boolean block by ``rule`` after multiplying it by ``M`` (``forward``)
-    or ``M.T``.  With the float32 copy (:attr:`SuperMatrix._exact32`) the block
-    is one gemm, whose integer sums equal float64's in any order; otherwise
-    each row is its own float64 gemv, as in :func:`special_product`, so its
-    fuzzy sums do not depend on the rows beside it.
+    n) boolean block by ``rule`` after multiplying it by :func:`_operand`'s
+    grid.  An exact grid multiplies the block as one gemm, whose integer sums
+    equal float64's in any order; otherwise each row is its own float64
+    gemv, as in :func:`special_product`, so its fuzzy sums do not depend on
+    the rows beside it.
     """
-    exact = matrix._exact32
-    grid = matrix.entries if exact is None else exact
-    grid = grid if forward else grid.T
+    grid, exact = _operand(matrix, forward)
 
     def product(state: np.ndarray) -> np.ndarray:
-        if exact is None:
+        if not exact:
             return np.matmul(state[:, None], grid)[:, 0]
         return np.matmul(state, grid)
 
-    return (product, side, rule, *_threshold(rule, exact is not None), forced)
+    return (product, side, rule, *_threshold(rule, exact), forced)
 
 
 def _patterns(
@@ -922,12 +929,11 @@ class _RoundMap:
     column, one add, one threshold, one shift and one OR into the chunk's
     bitmasks, with no float block of the whole chunk.  A two-sided round
     thresholds into a 0/1 block, one row per mask, and multiplies it back to
-    the seed side as one product, in float32 where the map has a float32
-    copy (:attr:`SuperMatrix._exact32`), thresholded as :func:`_threshold`
-    says, else in float64.  Sums of integer entries are exact in any order; on fuzzy
-    entries the order is part of the result, so each low-bit sum adds its
-    rows in increasing order and each raw sum adds the low part to the high
-    part once.
+    the seed side as one product.  Both products read :func:`_operand`'s
+    grids and threshold as :func:`_threshold` says.  Sums of integer entries
+    are exact in any order; on fuzzy entries the order is part of the
+    result, so each low-bit sum adds its rows in increasing order and each
+    raw sum adds the low part to the high part once.
     """
 
     def __init__(
@@ -938,21 +944,15 @@ class _RoundMap:
         one_sided: bool,
     ):
         # one-sided runs multiply forward whichever side the seed is on
-        grid = (
-            matrix.entries
-            if one_sided or side is Side.DOMAIN
-            else matrix.entries.T
-        )
-        n, self.width = grid.shape
-        self.k = min(n, _LOW_BITS)
-        self.low = _subset_sums(grid[: self.k])
-        self.high = _subset_sums(grid[self.k :])
+        forward = one_sided or side is Side.DOMAIN
+        self.grid, self.exact = _operand(matrix, forward)
+        self.k = min(self.grid.shape[0], _LOW_BITS)
+        self.low = _subset_sums(self.grid[: self.k])
+        self.high = _subset_sums(self.grid[self.k :])
         self.rule, self.back = policy.rule_for(side), None
         if not one_sided:  # the seed side's rule thresholds the back product
-            exact = matrix._exact32
-            back = matrix.entries if exact is None else exact
-            back = back.T if side is Side.DOMAIN else back
-            self.back = (back, *_threshold(self.rule, exact is not None))
+            back = _operand(matrix, not forward)[0]
+            self.back = (back, *_threshold(self.rule, self.exact))
             self.rule = policy.rule_for(side.opposite)
 
     def _next(
@@ -963,10 +963,9 @@ class _RoundMap:
     ) -> None:
         """Write each mask's next state to ``out``, from the raw sums of the
         round's first product, which ``sums`` yields one column at a time."""
-        rule = first_rule or self.rule
-        compare, cutoff = rule.compare, rule.cutoff
+        compare, cutoff = _threshold(first_rule or self.rule, self.exact)
         if self.back is not None:
-            bits = np.empty((out.shape[0], self.width), dtype=bool)
+            bits = np.empty((out.shape[0], self.grid.shape[1]), dtype=bool)
             for j, column in enumerate(sums):
                 compare(column, cutoff, out=bits[:, j])
             grid_t, compare, cutoff = self.back
@@ -985,14 +984,11 @@ class _RoundMap:
             )
             self._next(sums, first_rule, chunk)
 
-    def of(
-        self, masks: np.ndarray, first_rule: Optional[ThresholdRule]
-    ) -> np.ndarray:
-        """Next state of each mask in ``masks``, as :meth:`fill`."""
-        low, high = masks & ((1 << self.k) - 1), masks >> self.k
-        out = np.empty_like(masks)
-        sums = (a[low] + b[high] for a, b in zip(self.low, self.high))
-        self._next(sums, first_rule, out)
+    def units(self, first_rule: Optional[ThresholdRule], dtype) -> np.ndarray:
+        """Next state of each unit mask ``1 << i``, as :meth:`fill`: its first
+        raw sums are row ``i`` of the grid."""
+        out = np.empty(self.grid.shape[0], dtype=dtype)
+        self._next(self.grid.T, first_rule, out)
         return out
 
 
@@ -1021,10 +1017,11 @@ def enumerate_attractors(
     returns is columnar: no Python object is built per seed or per attractor
     until :attr:`AttractorCensus.attractors` is read.
 
-    Trajectories agree bit for bit with :func:`run_hidden_pattern`; the two
-    paths are implemented independently (vector arithmetic there, tabulated
-    bitmask transitions here) so each checks the other.  Basin sizes sum to
-    ``2 ** n``.
+    Trajectories agree bit for bit with :func:`run_hidden_pattern` on maps
+    with the float32 copy, not always on fuzzy maps, whose near-tie sums
+    the two paths add in different orders.  They are implemented
+    independently (vector arithmetic there, tabulated bitmask transitions
+    here) so each checks the other.  Basin sizes sum to ``2 ** n``.
     """
     side = Side(side)
     part = _side_partition(matrix, side)
@@ -1049,7 +1046,7 @@ def enumerate_attractors(
         start[:] = table
     if mode is FirstStepMode.AUTO:
         units = np.left_shift(1, np.arange(n, dtype=dtype))
-        start[units] = rounds.of(units, policy.first_step_rule)
+        start[units] = rounds.units(policy.first_step_rule, dtype)
     del rounds  # before the seed row's 2^n temporary
     seeds[:] = np.arange(n_seeds, dtype=dtype)
     start |= seeds

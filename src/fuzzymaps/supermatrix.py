@@ -274,12 +274,12 @@ def partition_matrix(
     A cut at ``k`` separates row (or column) ``k`` from ``k + 1``,
     counting from 1.  No cuts on an axis leaves that axis trivial.
     """
-    a = np.array(entries, dtype=float)
-    if a.ndim != 2:
+    shape = np.shape(entries)  # SuperMatrix makes the one float copy
+    if len(shape) != 2:
         raise DimensionMismatch("matrix entries must be two-dimensional")
-    rp = partition_from_cuts(a.shape[0], row_cuts)
-    cp = partition_from_cuts(a.shape[1], col_cuts)
-    return SuperMatrix(a, rp, cp)
+    rp = partition_from_cuts(shape[0], row_cuts)
+    cp = partition_from_cuts(shape[1], col_cuts)
+    return SuperMatrix(entries, rp, cp)
 
 
 class Kind(str, Enum):

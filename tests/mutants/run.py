@@ -1,0 +1,241 @@
+"""Run the checked-in mutants against the tests that must kill them.
+
+Usage: ``python tests/mutants/run.py`` from the repository root.
+
+Each mutant replaces one exact piece of text in one file under ``src/``.
+For each, ``src/`` and ``tests/`` are copied to a temporary directory, the
+mutant is applied there, and pytest runs the mutant's listed tests with
+``-x``.  A ``killed`` mutant must make them fail; an ``equivalent`` one
+computes the same results as the code, for the reason given, so its tests
+must pass.  The unmutated copy runs every listed test first, so a failure
+can only come from a mutant.  Hypothesis runs with a fixed seed, so a
+verdict does not depend on the examples one run happens to draw.
+
+Exit status: 0 when every verdict holds, 1 when one does not, 2 when the
+unmutated copy fails; a mutant whose text is not found exactly once stops
+the run before any test runs.
+
+This file is not named ``test_*.py``, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+DYNAMICS = "src/fuzzymaps/dynamics.py"
+TIMEOUT_S = 120  # a mutant that hangs its tests this long counts as killed
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in ``path``
+    new: str
+    tests: tuple[str, ...]  # pytest arguments: files or node ids
+    verdict: str  # "killed" or "equivalent"
+    reason: str
+
+
+MUTANTS = (
+    Mutant(
+        "operand-orientation",
+        DYNAMICS,
+        "return (grid if forward else grid.T), exact is not None",
+        "return (grid.T if forward else grid), exact is not None",
+        ("tests/test_dynamics.py",),
+        "killed",
+        "every product multiplies by the other side's grid",
+    ),
+    Mutant(
+        "operand-float64-entries",
+        DYNAMICS,
+        "grid = matrix.entries if exact is None else exact",
+        "grid = matrix.entries",
+        ("tests/test_dynamics.py::TestExactProduct",),
+        "killed",
+        "the same bits, but the two-sided census's back product casts each "
+        "chunk's 0/1 block to float64: test_peak_memory_of_a_two_sided_census",
+    ),
+    Mutant(
+        "threshold-ge-ceil",
+        DYNAMICS,
+        "else math.ceil(c) - 1",
+        "else math.ceil(c)",
+        ("tests/test_dynamics.py",),
+        "killed",
+        "an exact sum equal to an integral ge cutoff is read as off",
+    ),
+    Mutant(
+        "threshold-ge-floor-split",
+        DYNAMICS,
+        "else math.ceil(c) - 1",
+        "else math.floor(c) - (c == math.floor(c))",
+        ("tests/test_dynamics.py",),
+        "equivalent",
+        "ceil(c) - 1 is floor(c) - 1 for integral c and floor(c) otherwise",
+    ),
+    Mutant(
+        "threshold-clamp-2-23",
+        DYNAMICS,
+        "min(max(t, -_F32_EXACT), _F32_EXACT)",
+        "min(max(t, -_F32_EXACT // 2), _F32_EXACT // 2)",
+        ("tests/test_dynamics.py::TestExactProduct",),
+        "killed",
+        "a sum between 2**23 and 2**24 passes a cutoff above it: "
+        "test_a_sum_between_2_23_and_2_24",
+    ),
+    Mutant(
+        "threshold-float-cutoff",
+        DYNAMICS,
+        "    if not exact:\n        return rule.compare, rule.cutoff",
+        "    if True:\n        return rule.compare, rule.cutoff",
+        ("tests/test_dynamics.py::TestExactProduct",),
+        "killed",
+        "float32 sums meet a cutoff that NumPy may round to float32: "
+        "test_a_sum_of_3_against_a_near_tie_cutoff",
+    ),
+    Mutant(
+        "units-read-columns",
+        DYNAMICS,
+        "self._next(self.grid.T, first_rule, out)",
+        "self._next(self.grid, first_rule, out)",
+        ("tests/test_dynamics.py",),
+        "killed",
+        "unit seed i's first sums become column i of the grid",
+    ),
+    Mutant(
+        "next-ignores-first-rule",
+        DYNAMICS,
+        "_threshold(first_rule or self.rule, self.exact)",
+        "_threshold(self.rule, self.exact)",
+        ("tests/test_dynamics.py",),
+        "killed",
+        "the census thresholds a run's first product by the side rule",
+    ),
+    Mutant(
+        "pack-shift",
+        DYNAMICS,
+        "np.left_shift(hit, j, out=hit)",
+        "np.left_shift(hit, j + 1, out=hit)",
+        ("tests/test_dynamics.py",),
+        "killed",
+        "every tabulated state moves up one bit",
+    ),
+    Mutant(
+        "patterns-range-swap",
+        DYNAMICS,
+        "d, r = r, d[1:] + d[:1]",
+        "d, r = r, d",
+        ("tests/test_dynamics.py::TestEngineCore",),
+        "killed",
+        "a range-side cycle pairs each product with the state before it: "
+        "test_two_sided_pairs_of_a_period_2_cycle_follow_step[range]",
+    ),
+    Mutant(
+        "run-no-seed-forcing",
+        DYNAMICS,
+        "state = bits | seeds if forced else bits",
+        "state = bits",
+        ("tests/test_dynamics.py",),
+        "killed",
+        "the seed's coordinates are no longer forced back on",
+    ),
+    Mutant(
+        "census-seed-0-or",
+        DYNAMICS,
+        "start |= seeds",
+        "start[1:] |= seeds[1:]",
+        ("tests/test_dynamics.py",),
+        "equivalent",
+        "seed 0 has no bit to OR into its start state",
+    ),
+    Mutant(
+        "partition-matrix-second-copy",
+        "src/fuzzymaps/supermatrix.py",
+        "return SuperMatrix(entries, rp, cp)",
+        "return SuperMatrix(np.array(entries, dtype=float), rp, cp)",
+        ("tests/test_supermatrix.py::TestPartitionMatrix",),
+        "killed",
+        "a list grid is copied twice: test_a_list_grid_is_copied_once",
+    ),
+)
+
+
+def _copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", "*.egg-info")
+    for top in ("src", "tests"):
+        shutil.copytree(ROOT / top, dest / top, ignore=skip)
+
+
+def _pytest(tree: Path, tests: tuple[str, ...]) -> tuple[bool, str]:
+    """Run ``tests`` in ``tree``: (passed, the first failure reported, else
+    the last line of the output)."""
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    argv += ["--hypothesis-seed=0", *tests]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        done = subprocess.run(
+            argv, cwd=tree, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s"
+    lines = done.stdout.strip().splitlines() or [""]
+    failed = [line for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return done.returncode == 0, failed[0] if failed else lines[-1]
+
+
+def _mutated(path: Path, mutant: Mutant) -> str:
+    """The text of ``path`` with ``mutant`` applied."""
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        sys.exit(f"{mutant.name}: its text occurs {count} times in {mutant.path}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        for mutant in MUTANTS:  # every mutant's text applies before any runs
+            _mutated(ROOT / mutant.path, mutant)
+        base = Path(tmp) / "base"
+        _copy_tree(base)
+        listed = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        passed, last = _pytest(base, listed)
+        if not passed:
+            print(f"the unmutated tree fails its tests: {last}")
+            return 2
+        for k, mutant in enumerate(MUTANTS):
+            tree = Path(tmp) / f"m{k}"
+            _copy_tree(tree)
+            target = tree / mutant.path
+            target.write_text(_mutated(target, mutant), encoding="utf-8")
+            start = time.perf_counter()
+            survived, last = _pytest(tree, mutant.tests)
+            seconds = time.perf_counter() - start
+            got = "equivalent" if survived else "killed"
+            ok = got == mutant.verdict
+            failures += not ok
+            print(
+                f"{'ok  ' if ok else 'FAIL'} {mutant.name}: {got}, expected "
+                f"{mutant.verdict} ({seconds:.1f} s; {last})"
+            )
+            if not ok:
+                print(f"     {mutant.reason}")
+            shutil.rmtree(tree)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} verdicts hold")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

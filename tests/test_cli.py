@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,7 @@ from fuzzymaps import (
     fixture_text,
     load_fixture,
 )
-from fuzzymaps.cli import main
+from fuzzymaps.cli import console_main, main
 
 
 def run_cli(capsys, *argv):
@@ -417,6 +418,15 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--fixture", "ex_1_2_2")
         assert code == 2
 
+    def test_text_rows_name_a_cycle_by_its_period(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--fixture", "sec_2_5_fcm", "--side", "domain",
+            "--threshold-domain", "ge:2",
+        )
+        assert code == 0
+        cycles = [ln.split()[:3] for ln in out.splitlines() if "cycle" in ln]
+        assert cycles == [["R7", "cycle", "p=2"], ["R8", "cycle", "p=2"]]
+
 
 class TestAttractors:
     def test_basins_sum(self, capsys):
@@ -711,6 +721,18 @@ class TestUsage:
 
     def test_unknown_fixture_choice(self, capsys):
         assert main(["validate", "--fixture", "nope"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["validate", "--fixture", "ex_1_2_1"], 0), (["never-heard-of-it"], 2)],
+    )
+    def test_console_script_exits_with_the_command_code(
+        self, capsys, monkeypatch, argv, code
+    ):
+        monkeypatch.setattr(sys, "argv", ["fuzzymaps", *argv])
+        with pytest.raises(SystemExit) as done:
+            console_main()
+        assert done.value.code == code
 
     def test_json_outputs_stable(self, capsys):
         for argv in (

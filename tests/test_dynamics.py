@@ -880,6 +880,7 @@ class TestEnumeration:
         assert built == []  # the census and its view build no Attractor
         assert len(view) == len(census.periods) == len(census.offsets) - 1
         assert hash(view) == hash(census.attractors)
+        assert repr(view) == f"Attractors(<{len(view)} attractors>)"
         assert built == []
         listed = list(view)
         assert len(built) == len(view)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from fuzzymaps import (
     SuperVector,
     check_entry_domain,
     classify,
+    load_fixture,
     partition_matrix,
 )
 from fuzzymaps.errors import (
@@ -159,6 +162,23 @@ class TestPartitionMatrix:
             SuperMatrix.simple(entries)
         assert str(err.value) == "matrix entries must be two-dimensional"
 
+    def test_ragged_grid_refused(self):
+        with pytest.raises(ValueError):
+            partition_matrix([[1, 2], [3]])
+
+    @pytest.mark.parametrize("value", [0.5, 1])
+    def test_a_list_grid_is_copied_once(self, value):
+        grid = [[value] * 400 for _ in range(400)]
+        partition_matrix(grid)  # numpy's own first-call state
+        tracemalloc.start()
+        try:
+            m = partition_matrix(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.entries.dtype == float
+        assert peak <= 1.25 * m.entries.nbytes
+
 
 class TestBlocks:
     def test_first_block(self):
@@ -306,6 +326,23 @@ class TestEntryDomain:
         assert [(i, j) for i, j, _ in got] == [(0, 1), (1, 0), (2, 1)]
         assert got[0][2] == inf and got[1][2] == -inf and np.isnan(got[2][2])
         assert all(type(i) is int and type(j) is int for i, j, _ in got)
+
+
+class TestEquality:
+    def test_equal_values_are_equal_and_hash_equal(self):
+        p = Partition([2, 1])
+        assert list(p) == [2, 1]
+        v, w = SuperVector([1, 0, 2], p), SuperVector(np.array([1.0, 0, 2]), p)
+        assert len(v) == 3
+        assert v == w and hash(v) == hash(w)
+        assert v != SuperVector([1, 0, 2], Partition([3]))
+        assert v != v.entries.tolist() and v != v.transpose()
+        m, n = m9x6(), partition_matrix(GRID_9X6, row_cuts=[3, 7], col_cuts=[2])
+        assert m == n and hash(m) == hash(n)
+        assert m != GRID_9X6 and m != partition_matrix(GRID_9X6)
+        # a parsed model's hash goes through its matrix's
+        a, b = load_fixture("sec_2_4"), load_fixture("sec_2_4")
+        assert a.matrix is not b.matrix and a == b and hash(a) == hash(b)
 
 
 class TestValidation:
