@@ -830,30 +830,35 @@ def _brent(table: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     ``walk`` has one column per seed: the seed, its first state and a row
     for the hare.  Every seed advances in lockstep, so the power-of-two
     schedule is shared and a seed's period is the step count at which its
-    hare meets its tortoise.  Resolved seeds are dropped as they finish and
-    the live columns are compacted to the front of ``walk`` in place, so
-    the work is proportional to the seeds' own path lengths and no second
-    block is allocated.  Returns each seed's period and a state on its
-    cycle.
+    hare meets its tortoise.  Until the first compaction column ``i`` holds
+    seed ``i``, so the first check writes every seed's period and meeting
+    state as two whole-array copies, which the seeds still walking later
+    overwrite.  Resolved seeds are dropped as they finish and the live
+    columns are compacted to the front of ``walk`` in place, so the work is
+    proportional to the seeds' own path lengths and no second block is
+    allocated.  Returns each seed's period and a state on its cycle.
     """
     seeds, tortoise, hare = walk
     period = np.empty_like(seeds)
     meet = np.empty_like(seeds)
     resolved = np.empty(seeds.shape[0], dtype=bool)
     _step(table, tortoise, seeds, hare)
+    np.equal(tortoise, hare, out=resolved)
+    np.copyto(period, resolved)  # period 1 where resolved
+    np.copyto(meet, hare)
+    live = _settle(walk, resolved)
     power = lam = 1
-    live = walk.shape[1]
     while live:
-        done = np.equal(tortoise, hare, out=resolved[:live])
-        if done.any():
-            live = _settle(walk, done, lam, period, meet)
-            seeds, tortoise, hare = walk[:, :live]
+        seeds, tortoise, hare = walk[:, :live]
         if power == lam:
             tortoise[:] = hare
             power *= 2
             lam = 0
         _step(table, hare, seeds, hare)
         lam += 1
+        done = np.equal(tortoise, hare, out=resolved[:live])
+        if done.any():
+            live = _settle(walk, done, (lam, period, meet))
     return period, meet
 
 
@@ -869,16 +874,11 @@ def _step(
         out[a:b] |= seeds[a:b]
 
 
-def _settle(
-    walk: np.ndarray,
-    done: np.ndarray,
-    lam: int,
-    period: np.ndarray,
-    meet: np.ndarray,
-) -> int:
-    """Record period ``lam`` and the hare of each resolved seed among the
-    first ``len(done)`` columns of ``walk``, and move the unresolved ones, in
-    order, to its front; returns their count.
+def _settle(walk: np.ndarray, done: np.ndarray, found: tuple = ()) -> int:
+    """Move the columns among the first ``len(done)`` of ``walk`` that are
+    not ``done``, in order, to its front; returns their count.  ``found``,
+    when given, is ``(lam, period, meet)``: each resolved seed's period is
+    first recorded as ``lam`` and its meeting state as its hare.
 
     Done a chunk of columns at a time, so the index arrays and copies are
     chunk-sized; each chunk's columns land at or before where they were
@@ -888,10 +888,12 @@ def _settle(
     kept = 0
     for a in range(0, done.shape[0], _CHUNK):
         part = done[a : a + _CHUNK]
-        at = np.flatnonzero(part) + a
-        finished = walk[0, at]
-        period[finished] = lam
-        meet[finished] = walk[2, at]
+        if found:
+            lam, period, meet = found
+            at = np.flatnonzero(part) + a
+            finished = walk[0, at]
+            period[finished] = lam
+            meet[finished] = walk[2, at]
         stay = np.flatnonzero(~part) + a
         walk[:, kept : kept + stay.shape[0]] = walk.take(stay, axis=1)
         kept += stay.shape[0]
@@ -900,20 +902,19 @@ def _settle(
 
 def _subset_sums(rows: np.ndarray) -> np.ndarray:
     """Column ``s`` of the result sums ``rows[i]`` over the set bits ``i`` of
-    ``s``, adding them in increasing ``i``."""
-    out = np.zeros((rows.shape[1], 1 << rows.shape[0]))
+    ``s``, adding them in increasing ``i`` in the rows' dtype."""
+    out = np.zeros((rows.shape[1], 1 << rows.shape[0]), rows.dtype)
     for i, row in enumerate(rows):
         np.add(out[:, : 1 << i], row[:, None], out=out[:, 1 << i : 2 << i])
     return out
 
 
-def _pack(
-    columns: Iterable[np.ndarray], compare: np.ufunc, cutoff, out: np.ndarray
-) -> None:
-    """Set bit ``j`` of ``out[s]`` iff ``compare(columns[j][s], cutoff)``."""
+def _pack(columns: Iterable[tuple], compare: np.ufunc, out: np.ndarray) -> None:
+    """Set bit ``j`` of ``out[s]`` iff ``compare(column[s], cutoff)`` for the
+    ``j``-th pair ``(column, cutoff)`` of ``columns``."""
     out[...] = 0
     hit = np.empty_like(out)
-    for j, column in enumerate(columns):
+    for j, (column, cutoff) in enumerate(columns):
         compare(column, cutoff, out=hit)
         np.left_shift(hit, j, out=hit)
         out |= hit
@@ -924,16 +925,18 @@ class _RoundMap:
 
     A round's first product is linear in the seed bits, so its raw sums for
     mask ``s`` are ``low[s & (2**k - 1)] + high[s >> k]``: the sums over the
-    low ``k`` bits and over the rest, each tabulated once, one row per
-    product column.  A chunk of ``2 ** k`` consecutive masks then costs, per
-    column, one add, one threshold, one shift and one OR into the chunk's
-    bitmasks, with no float block of the whole chunk.  A two-sided round
-    thresholds into a 0/1 block, one row per mask, and multiplies it back to
-    the seed side as one product.  Both products read :func:`_operand`'s
-    grids and threshold as :func:`_threshold` says.  Sums of integer entries
-    are exact in any order; on fuzzy entries the order is part of the
-    result, so each low-bit sum adds its rows in increasing order and each
-    raw sum adds the low part to the high part once.
+    low ``k`` bits and over the rest, each tabulated once in the grid's
+    dtype, one row per product column.  On the float32 copy the sums are
+    integers, and ``low + high > t`` iff ``low > t - high``: a chunk of
+    ``2 ** k`` consecutive masks costs, per column, one threshold of the
+    low sums against the chunk's shifted cutoff, one shift and one OR into
+    the chunk's bitmasks.  On fuzzy entries the order of the additions is
+    part of the result, so each low-bit sum adds its rows in increasing
+    order and each raw sum adds the low part to the high part once, into
+    one float64 column.  A two-sided round thresholds into a 0/1 block, one
+    row per mask, and multiplies it back to the seed side as one product.
+    Both products read :func:`_operand`'s grids and threshold as
+    :func:`_threshold` says.
     """
 
     def __init__(
@@ -960,24 +963,32 @@ class _RoundMap:
         sums: Iterable[np.ndarray],
         first_rule: Optional[ThresholdRule],
         out: np.ndarray,
+        shifts: Optional[np.ndarray] = None,
     ) -> None:
         """Write each mask's next state to ``out``, from the raw sums of the
-        round's first product, which ``sums`` yields one column at a time."""
+        round's first product, which ``sums`` yields one column at a time;
+        column ``j`` lacks ``shifts[j]``, taken off its cutoff, when given."""
         compare, cutoff = _threshold(first_rule or self.rule, self.exact)
+        # t - shift is an exact integer up to 2**24 in size; float32 may round
+        # it past that, where it stays past every sum, all below 2**24 in size
+        cutoffs = itertools.repeat(cutoff) if shifts is None else cutoff - shifts
         if self.back is not None:
             bits = np.empty((out.shape[0], self.grid.shape[1]), dtype=bool)
-            for j, column in enumerate(sums):
-                compare(column, cutoff, out=bits[:, j])
+            for j, (column, c) in enumerate(zip(sums, cutoffs)):
+                compare(column, c, out=bits[:, j])
             grid_t, compare, cutoff = self.back
             sums = (bits.view(np.uint8) @ grid_t).T
-        _pack(sums, compare, cutoff, out)
+            cutoffs = itertools.repeat(cutoff)
+        _pack(zip(sums, cutoffs), compare, out)
 
     def fill(self, first_rule: Optional[ThresholdRule], out: np.ndarray) -> None:
         """Write the next state of every mask to ``out``; ``first_rule``
         replaces the round's first threshold when given."""
-        size = 1 << self.k
-        raw = np.empty(size)
+        raw = None if self.exact else np.empty(1 << self.k)
         for h, chunk in enumerate(np.split(out, self.high.shape[1])):
+            if self.exact:
+                self._next(self.low, first_rule, chunk, self.high[:, h])
+                continue
             sums = (
                 np.add(low, high, out=raw)
                 for low, high in zip(self.low, self.high[:, h])
@@ -1010,10 +1021,13 @@ def enumerate_attractors(
     the whole rotation (two cycles may share a minimum), each group keyed
     past the last state.  Attractors are numbered in the order of their
     smallest seed, found per key by a scatter-minimum and counted off in
-    seed order.  States are 32-bit below 31 nodes, and the walk compacts in
-    place: about 25 bytes per seed while Brent's method runs, beside the
-    float sums over the low 16 seed bits (512 KiB per product column); seeds
-    on limit cycles add their cycles while they are grouped.  The census it
+    seed order.  The table comes from sums over the low 16 seed bits: 256
+    KiB of float32 per product column on maps with the float32 copy,
+    compared against each chunk's cutoff less its high-bit sums, else 512
+    KiB of float64 added to them.  States are 32-bit below 31 nodes, and the
+    walk compacts in place: about 25 bytes per seed while Brent's method
+    runs, whose first check writes the seeds it resolves in place; seeds on
+    limit cycles add their cycles while they are grouped.  The census it
     returns is columnar: no Python object is built per seed or per attractor
     until :attr:`AttractorCensus.attractors` is read.
 

@@ -231,12 +231,19 @@ class SuperMatrix:
         """The entries as read-only float32 if they are integers whose
         magnitudes sum below ``_F32_EXACT``, else ``None``: that bounds every
         partial sum of a 0/1 product, so float32 adds them exactly in any
-        order."""
+        order.  The copy starts on a 64-byte boundary, so its alignment, and
+        the speed of the products that read it, do not move with whatever
+        the allocator placed before it."""
         e = self.entries
         with np.errstate(over="ignore"):  # a total past float64 is inf: refused
             if not ((np.trunc(e) == e).all() and np.abs(e).sum() < _F32_EXACT):
                 return None
-        return _freeze(e, np.float32)
+        buf = np.empty(e.size + 16, np.float32)  # 64 spare bytes
+        at = -buf.ctypes.data % 64 // buf.itemsize
+        out = buf[at : at + e.size].reshape(e.shape)
+        out[...] = e
+        out.flags.writeable = False
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SuperMatrix):

@@ -150,6 +150,37 @@ MUTANTS = (
         "the seed's coordinates are no longer forced back on",
     ),
     Mutant(
+        "shifted-cutoff-sign",
+        DYNAMICS,
+        "else cutoff - shifts",
+        "else cutoff + shifts",
+        ("tests/test_dynamics.py::TestExactProduct",),
+        "killed",
+        "seeds with a high bit set meet the cutoff plus their high-bit sums: "
+        "test_a_cutoff_shifted_past_2_24",
+    ),
+    Mutant(
+        "first-check-no-meet",
+        DYNAMICS,
+        "    np.copyto(meet, hare)\n",
+        "",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "seeds resolved at the first check keep whatever their meeting "
+        "state's memory held",
+    ),
+    Mutant(
+        "first-check-scatters",
+        DYNAMICS,
+        "live = _settle(walk, resolved)",
+        "live = _settle(walk, resolved, (1, period, meet))",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "the same census, but the seeds resolved at the first check are "
+        "scattered again: test_seeds_resolved_at_the_first_check_are_written"
+        "_in_place",
+    ),
+    Mutant(
         "census-seed-0-or",
         DYNAMICS,
         "start |= seeds",

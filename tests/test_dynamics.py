@@ -660,6 +660,52 @@ class TestExactProduct:
         assert census.n_seeds == 1 << 18
         assert peak <= 25 * 2**20
 
+    def test_peak_memory_of_a_two_sided_census_with_float32_sums(self):
+        # the same census: its low-bit sums stay float32 and are thresholded
+        # against shifted cutoffs, with no float64 buffer of added sums
+        rng = np.random.default_rng(18)
+        m = SuperMatrix.simple(rng.choice([-1.0, 0.0, 1.0], size=(18, 20)))
+        policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GT, 1))
+        census, peak = _traced_peak(
+            lambda: enumerate_attractors(m, Side.DOMAIN, policy, state_limit=1 << 18)
+        )
+        assert census.n_seeds == 1 << 18
+        assert peak <= 20 * 2**20
+
+    @pytest.mark.parametrize(
+        "sign, rule",
+        [
+            (1, ThresholdRule(Comparator.GT, 12_800_001.5)),
+            (-1, ThresholdRule(Comparator.GE, -12_800_000)),
+        ],
+        ids=["gt", "ge"],
+    )
+    def test_a_cutoff_shifted_past_2_24(self, sign, rule):
+        # seeds with bit 16 set threshold node 0's low-bit sums against the
+        # integer cutoff t less row 16's entry: 12,800,001 + 4e6 for gt and
+        # -12,800,001 - 4e6 for ge, which float32 rounds; every low-bit sum
+        # of node 0 is at most 12,768,000 in size, so each side of the
+        # rounded cutoff is still the exact sum's side
+        rng = np.random.default_rng(2424)
+        w = rng.integers(-1, 2, size=(17, 17)).astype(float)
+        w[:16, 0] = sign * 798_000
+        w[16, 0] = -sign * 4_000_000
+        m = SuperMatrix.simple(w)
+        assert m._exact32 is not None and np.abs(w).sum() > 2**24 - 10_000
+        shifted = float(dynamics._threshold(rule, True)[1]) - w[16, 0]
+        assert abs(shifted) == 16_800_001 and np.float32(shifted) != shifted
+        for policy in (
+            ThresholdPolicy(GT0, GT0, rule, FirstStepMode.ALWAYS),
+            ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER),
+        ):
+            census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+            _assert_census_is(census, *_reference_census(m, Side.DOMAIN, policy, True))
+            masks = [1 << 16, (1 << 17) - 1]
+            masks += rng.integers(1 << 16, 1 << 17, size=40).tolist()
+            _assert_census_matches_engine(
+                m, Side.DOMAIN, policy, True, masks, rule.describe()
+            )
+
 
 def _path(n: int, backward: bool = False) -> SuperMatrix:
     """A one-sided chain: node i excites i + 1 (i - 1 when ``backward``)."""
@@ -845,6 +891,56 @@ class TestEnumeration:
                 _assert_census_matches_engine(
                     m, side, policy, one_sided, high + sampled, f"{shape}"
                 )
+
+    @staticmethod
+    def _settle_calls(monkeypatch) -> list:
+        """Record ``(resolved, columns, scatters)`` for each ``_settle`` call."""
+        calls = []
+        settle = dynamics._settle
+
+        def spy(walk, done, found=()):
+            calls.append((int(done.sum()), done.shape[0], bool(found)))
+            return settle(walk, done, found)
+
+        monkeypatch.setattr(dynamics, "_settle", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "rule, resolved",
+        [(None, 256_538), (ThresholdRule(Comparator.GT, 12), 1 << 18)],
+        ids=["fixture-policy", "gt-12"],
+    )
+    def test_seeds_resolved_at_the_first_check_are_written_in_place(
+        self, monkeypatch, rule, resolved
+    ):
+        # sec_2_5_fcm's seeds all reach fixed points, most after one round
+        # and, under gt 12 with no first step, every one of them: the first
+        # check writes those seeds in place, and only later checks scatter
+        calls = self._settle_calls(monkeypatch)
+        spec = load_fixture("sec_2_5_fcm")
+        policy = spec.policy
+        if rule is not None:
+            policy = ThresholdPolicy(rule, rule, rule, FirstStepMode.NEVER)
+        census = enumerate_attractors(spec.matrix, Side.DOMAIN, policy, one_sided=True)
+        assert calls[0] == (resolved, 1 << 18, False)
+        assert all(scatters for _, _, scatters in calls[1:])
+        assert len(calls) > 1 or resolved == 1 << 18
+        expected = _reference_census(spec.matrix, Side.DOMAIN, policy, True)
+        _assert_census_is(census, *expected)
+
+    def test_only_the_full_seed_resolves_at_the_first_check(self, monkeypatch):
+        # each node inhibits itself, so every seed's first state is all ones
+        # and the next is the seed again; forcing keeps the full seed fixed
+        # on any map, so it alone resolves at the first check
+        calls = self._settle_calls(monkeypatch)
+        m = SuperMatrix.simple(-np.eye(17))
+        ge0 = ThresholdRule(Comparator.GE, 0)
+        policy = ThresholdPolicy(ge0, ge0, first_step_mode=FirstStepMode.NEVER)
+        census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+        assert calls[0] == (1, 1 << 17, False)
+        assert calls[1:] == [((1 << 17) - 1, (1 << 17) - 1, True)]
+        _assert_census_is(census, *_reference_census(m, Side.DOMAIN, policy, True))
+        assert census.periods.tolist().count(2) == (1 << 17) - 1
 
     def test_attractor_of_rejects_foreign_seeds(self):
         census = enumerate_attractors(GROUPS_5X12, Side.DOMAIN, GT0_POLICY)

@@ -367,6 +367,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             m.entries[0, 0] = 99.0
 
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (18, 18), (200, 200)])
+    def test_exact_copy_is_64_byte_aligned_and_read_only(self, shape):
+        # the copy's offset would otherwise move with unrelated allocations
+        entries = np.arange(shape[0] * shape[1], dtype=float).reshape(shape) % 7 - 3
+        m = SuperMatrix.simple(entries)
+        exact = m._exact32
+        assert exact.ctypes.data % 64 == 0
+        assert exact.dtype == np.float32 and exact.flags.c_contiguous
+        assert np.array_equal(exact, entries)
+        with pytest.raises(ValueError):
+            exact[0, 0] = 1.0
+
 
 # --- randomized invariants ---------------------------------------------------
 
