@@ -882,12 +882,16 @@ def _settle(walk: np.ndarray, done: np.ndarray, found: tuple = ()) -> int:
 
     Done a chunk of columns at a time, so the index arrays and copies are
     chunk-sized; each chunk's columns land at or before where they were
-    read.  Index arrays and ``take``, not boolean masks or ``walk[:, i]``:
-    on scattered seeds they are several times faster.
+    read, and a chunk with none done stays where it is until a column
+    before it is dropped.  Index arrays and ``take``, not boolean masks or
+    ``walk[:, i]``: on scattered seeds they are several times faster.
     """
     kept = 0
     for a in range(0, done.shape[0], _CHUNK):
         part = done[a : a + _CHUNK]
+        if kept == a and not part.any():
+            kept += part.shape[0]
+            continue
         if found:
             lam, period, meet = found
             at = np.flatnonzero(part) + a
@@ -1020,8 +1024,10 @@ def enumerate_attractors(
     walk their cycle once, rotate it to its minimum state and are grouped by
     the whole rotation (two cycles may share a minimum), each group keyed
     past the last state.  Attractors are numbered in the order of their
-    smallest seed, found per key by a scatter-minimum and counted off in
-    seed order.  The table comes from sums over the low 16 seed bits: 256
+    smallest seed: a scatter-minimum per key marks those seeds, and their
+    keys, read in seed order, list the attractors; a fixed point's state is
+    its key, written in place, and each group's rows overwrite the slots of
+    its cycles.  The table comes from sums over the low 16 seed bits: 256
     KiB of float32 per product column on maps with the float32 copy,
     compared against each chunk's cutoff less its high-bit sums, else 512
     KiB of float64 added to them.  States are 32-bit below 31 nodes, and the
@@ -1094,34 +1100,47 @@ def enumerate_attractors(
         key += cycles[-1][1].shape[0]
     del table, on_cycle, lengths
 
-    # number the keys in the order of their smallest seed, then map seeds
-    first = np.full(key, n_seeds, dtype=np.int64)
-    np.minimum.at(first, meet, np.arange(n_seeds, dtype=np.int64))
-    used = np.flatnonzero(first < n_seeds)  # fixed states, then every group
-    firsts = first[used]
+    # mark each key's smallest seed: the marked seeds' keys, in seed order,
+    # are the attractors' keys in the order they are numbered
+    first = np.full(key, n_seeds, dtype=dtype)
+    np.minimum.at(first, meet, np.arange(n_seeds, dtype=dtype))
     mark = np.zeros(n_seeds, dtype=bool)
-    mark[firsts] = True
-    number = np.cumsum(mark, dtype=dtype)[firsts] - 1
-    first[used] = number
-    assignment = first[meet]
-    del first, mark, meet
+    mark[first[first < n_seeds]] = True
+    del first
+    keys = meet[mark]
+    del mark
+    count = keys.shape[0]
+    # NumPy casts 32-bit indices as a scatter goes, at twice its cost, and
+    # a whole take's at once, into 8 bytes per seed: intp keys, chunked takes
+    number = np.empty(key, dtype=np.int64)
+    number[keys.astype(np.intp)] = np.arange(count)
+    assignment = np.empty(n_seeds, dtype=np.int64)
+    for a in range(0, n_seeds, _CHUNK):
+        b = a + _CHUNK
+        np.take(number, meet[a:b], out=assignment[a:b], mode="clip")
+    del meet
 
-    # lay the cycles out flat in attractor order
-    n_fixed = int(np.searchsorted(used, n_seeds))
-    periods = np.ones(used.shape[0], dtype=np.int64)
-    periods[number[n_fixed:]] = np.repeat(
-        [p for p, _ in cycles], [rows.shape[0] for _, rows in cycles]
-    )
-    offsets = np.zeros(used.shape[0] + 1, dtype=np.int64)
-    np.cumsum(periods, out=offsets[1:])
-    states = np.empty(offsets[-1], dtype=np.int64)
-    states[offsets[number[:n_fixed]]] = used[:n_fixed]
-    at = n_fixed
+    # lay the cycles out flat in attractor order; the attractors numbered
+    # before the first cycle take one slot each, so their offsets are their
+    # numbers
+    periods = np.ones(count, dtype=np.int64)
+    slots, at = [], n_seeds
     for p, rows in cycles:
-        starts = offsets[number[at : at + rows.shape[0]]]
-        states[starts[:, None] + np.arange(p)] = rows
+        slots.append(number[at : at + rows.shape[0]])
+        periods[slots[-1]] = p
         at += rows.shape[0]
-    basins = np.bincount(assignment, minlength=used.shape[0])
+    lead = int(number[n_seeds:].min(initial=count))
+    offsets = np.arange(count + 1, dtype=np.int64)
+    np.cumsum(periods[lead:], out=offsets[lead + 1 :])
+    offsets[lead + 1 :] += lead
+    # a fixed point's state is its key; each group's rows then overwrite
+    # the slots of its cycles
+    states = np.empty(offsets[-1], dtype=np.int64)
+    states[:lead] = keys[:lead]
+    states[offsets[lead:-1]] = keys[lead:]
+    for (p, rows), slot in zip(cycles, slots):
+        states[offsets[slot, None] + np.arange(p)] = rows
+    basins = np.bincount(assignment, minlength=count)
     for column in (periods, basins, states, offsets, assignment):
         column.flags.writeable = False
     return AttractorCensus(

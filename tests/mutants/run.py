@@ -181,6 +181,65 @@ MUTANTS = (
         "_in_place",
     ),
     Mutant(
+        "settle-skips-done-chunks",
+        DYNAMICS,
+        "if kept == a and not part.any():",
+        "if kept == a:",
+        ("tests/test_dynamics.py::TestEnumeration::"
+         "test_settle_copies_only_the_chunks_from_the_first_done_one",),
+        "killed",
+        "done columns before the first dropped one are never dropped, so "
+        "Brent's walk would not end",
+    ),
+    Mutant(
+        "census-numbered-by-key",
+        DYNAMICS,
+        "keys = meet[mark]",
+        "keys = np.sort(meet[mark])",
+        ("tests/test_dynamics.py::TestEnumeration::"
+         "test_attractors_are_numbered_by_smallest_seed_not_by_key",),
+        "killed",
+        "attractors are numbered by fixed state, then by cycle group",
+    ),
+    Mutant(
+        "fixed-state-one-late",
+        DYNAMICS,
+        "states[offsets[lead:-1]] = keys[lead:]",
+        "states[offsets[lead:-1] + 1] = keys[lead:]",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "after the first cycle, each fixed point's state lands one slot "
+        "late",
+    ),
+    Mutant(
+        "fixed-state-at-slot-end",
+        DYNAMICS,
+        "states[offsets[lead:-1]] = keys[lead:]",
+        "states[offsets[lead + 1 :] - 1] = keys[lead:]",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "equivalent",
+        "a fixed point has one slot, so its last is its first; every slot of "
+        "a cycle is overwritten by its group's rows",
+    ),
+    Mutant(
+        "lead-past-first-cycle",
+        DYNAMICS,
+        "lead = int(number[n_seeds:].min(initial=count))",
+        "lead = int(number[n_seeds:].max(initial=count))",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "every attractor is given one slot, cycles too",
+    ),
+    Mutant(
+        "cycle-rows-not-written",
+        DYNAMICS,
+        "for (p, rows), slot in zip(cycles, slots):",
+        "for (p, rows), slot in zip(cycles, slots[:0]):",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "a cycle's slots keep its group key and whatever the memory held",
+    ),
+    Mutant(
         "census-seed-0-or",
         DYNAMICS,
         "start |= seeds",

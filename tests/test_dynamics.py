@@ -942,6 +942,60 @@ class TestEnumeration:
         _assert_census_is(census, *_reference_census(m, Side.DOMAIN, policy, True))
         assert census.periods.tolist().count(2) == (1 << 17) - 1
 
+    @pytest.mark.parametrize(
+        "done_at",
+        [[], [3], [0, 1, 1 << 17], [(1 << 16) + 1, (1 << 17) + 4]],
+        ids=["none", "first-chunk", "first-and-last-chunk", "later-chunks"],
+    )
+    def test_settle_copies_only_the_chunks_from_the_first_done_one(self, done_at):
+        # three chunks of columns: those before the first done column stay
+        # where they are, uncopied; the rest move up past the done ones
+        copies = []
+
+        class Counted(np.ndarray):
+            def take(self, *args, **kwargs):
+                copies.append(args)
+                return super().take(*args, **kwargs)
+
+        n = 2 * dynamics._CHUNK + 5
+        before = np.arange(3 * n).reshape(3, n)
+        walk = before.copy().view(Counted)
+        done = np.zeros(n, dtype=bool)
+        done[done_at] = True
+        period, meet = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+        kept = dynamics._settle(walk, done, (7, period, meet))
+        stay = np.flatnonzero(~done)
+        assert kept == stay.shape[0]
+        assert np.array_equal(walk[:, :kept], before[:, stay])
+        assert np.flatnonzero(period).tolist() == done_at
+        assert (period[done_at] == 7).all()
+        assert np.array_equal(meet[done_at], before[2, done_at])
+        assert len(copies) == (3 - done_at[0] // dynamics._CHUNK if done_at else 0)
+
+    def test_attractors_are_numbered_by_smallest_seed_not_by_key(self):
+        # a fixed point's key is its state, and cycle groups are keyed past
+        # every state; here the period-2 cycle is the second attractor by
+        # smallest seed, ahead of ten fixed points, and the fixed states are
+        # not in increasing order, so numbering by key would differ
+        m = SuperMatrix.simple(
+            [
+                [0, 1, -1, 1, -1],
+                [0, 1, 0, 0, -1],
+                [1, 0, -1, 1, -1],
+                [0, -1, 0, -1, -1],
+                [1, -1, 0, 1, 1],
+            ]
+        )
+        policy = ThresholdPolicy(GT0, GT0, first_step_mode=FirstStepMode.NEVER)
+        census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+        cycles, assignment = _reference_census(m, Side.DOMAIN, policy, True)
+        _assert_census_is(census, cycles, assignment)
+        assert not any(column.flags.writeable for column in census._columns())
+        periods = [len(c) for c in cycles]
+        assert 1 in periods[periods.index(2) :]
+        fixed = [c[0] for c in cycles if len(c) == 1]
+        assert fixed != sorted(fixed)
+
     def test_attractor_of_rejects_foreign_seeds(self):
         census = enumerate_attractors(GROUPS_5X12, Side.DOMAIN, GT0_POLICY)
         for mask in (-1, 32, 1 << 40):
@@ -1082,6 +1136,19 @@ class TestEnumeration:
 
         _, peak = _traced_peak(census)
         assert peak <= 20 * 2**20
+
+    def test_peak_memory_of_a_2_18_census_numbering(self):
+        # 12.2 MiB: the scatter-minimum in the walk's 32-bit dtype and the
+        # attractors' keys, with no int64 copy of the seeds or of the keys
+        spec = load_fixture("sec_2_5_fcm")
+
+        def census():
+            return enumerate_attractors(
+                spec.matrix, Side.DOMAIN, spec.policy, one_sided=True
+            )
+
+        _, peak = _traced_peak(census)
+        assert peak <= 13 * 2**20
 
     def test_census_never_imports_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, about 1 MB of
