@@ -824,30 +824,30 @@ class Attractors(Sequence):
         return f"Attractors(<{len(self)} attractors>)"
 
 
-def _brent(table: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _brent(table: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, dict]:
     """Brent's cycle detection on ``s -> table[s] | seed`` for every seed.
 
     ``walk`` has one column per seed: the seed, its first state and a row
     for the hare.  Every seed advances in lockstep, so the power-of-two
     schedule is shared and a seed's period is the step count at which its
     hare meets its tortoise.  Until the first compaction column ``i`` holds
-    seed ``i``, so the first check writes every seed's period and meeting
-    state as two whole-array copies, which the seeds still walking later
-    overwrite.  Resolved seeds are dropped as they finish and the live
-    columns are compacted to the front of ``walk`` in place, so the work is
-    proportional to the seeds' own path lengths and no second block is
-    allocated.  Returns each seed's period and a state on its cycle.
+    seed ``i``, so the first check, whose seeds are fixed points, writes
+    every meeting state as one whole-array copy, which the seeds still
+    walking later overwrite.  Resolved seeds are dropped as they finish and
+    the live columns are compacted to the front of ``walk`` in place, so the
+    work is proportional to the seeds' own path lengths and no second block
+    is allocated.  Returns each seed's meeting state, which is on its cycle,
+    and the seeds on limit cycles, as lists of seed arrays by period.
     """
     seeds, tortoise, hare = walk
-    period = np.empty_like(seeds)
     meet = np.empty_like(seeds)
     resolved = np.empty(seeds.shape[0], dtype=bool)
     _step(table, tortoise, seeds, hare)
     np.equal(tortoise, hare, out=resolved)
-    np.copyto(period, resolved)  # period 1 where resolved
     np.copyto(meet, hare)
     live = _settle(walk, resolved)
     power = lam = 1
+    cycles: dict[int, list[np.ndarray]] = {}  # period: seed arrays
     while live:
         seeds, tortoise, hare = walk[:, :live]
         if power == lam:
@@ -858,8 +858,8 @@ def _brent(table: np.ndarray, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         lam += 1
         done = np.equal(tortoise, hare, out=resolved[:live])
         if done.any():
-            live = _settle(walk, done, (lam, period, meet))
-    return period, meet
+            live = _settle(walk, done, (lam, cycles, meet))
+    return meet, cycles
 
 
 def _step(
@@ -877,8 +877,8 @@ def _step(
 def _settle(walk: np.ndarray, done: np.ndarray, found: tuple = ()) -> int:
     """Move the columns among the first ``len(done)`` of ``walk`` that are
     not ``done``, in order, to its front; returns their count.  ``found``,
-    when given, is ``(lam, period, meet)``: each resolved seed's period is
-    first recorded as ``lam`` and its meeting state as its hare.
+    when given, is ``(lam, cycles, meet)``: resolved seeds first write their
+    hare to ``meet`` and, if their period ``lam`` is above 1, join ``cycles[lam]``.
 
     Done a chunk of columns at a time, so the index arrays and copies are
     chunk-sized; each chunk's columns land at or before where they were
@@ -893,11 +893,12 @@ def _settle(walk: np.ndarray, done: np.ndarray, found: tuple = ()) -> int:
             kept += part.shape[0]
             continue
         if found:
-            lam, period, meet = found
+            lam, cycles, meet = found
             at = np.flatnonzero(part) + a
             finished = walk[0, at]
-            period[finished] = lam
             meet[finished] = walk[2, at]
+            if lam > 1:
+                cycles.setdefault(lam, []).append(finished)
         stay = np.flatnonzero(~part) + a
         walk[:, kept : kept + stay.shape[0]] = walk.take(stay, axis=1)
         kept += stay.shape[0]
@@ -1018,24 +1019,25 @@ def enumerate_attractors(
 
     One round of the map is tabulated for every seed-side bitmask, one
     product column at a time; a seed then moves ``s -> table[s] | seed``.
-    All ``2 ** n`` seeds walk at once: Brent's method finds each seed's
-    period and a state on its cycle.  Nothing is sorted over all seeds: a
-    fixed point is keyed by its state, and the few seeds on longer cycles
-    walk their cycle once, rotate it to its minimum state and are grouped by
-    the whole rotation (two cycles may share a minimum), each group keyed
-    past the last state.  Attractors are numbered in the order of their
-    smallest seed: a scatter-minimum per key marks those seeds, and their
-    keys, read in seed order, list the attractors; a fixed point's state is
-    its key, written in place, and each group's rows overwrite the slots of
-    its cycles.  The table comes from sums over the low 16 seed bits: 256
-    KiB of float32 per product column on maps with the float32 copy,
-    compared against each chunk's cutoff less its high-bit sums, else 512
-    KiB of float64 added to them.  States are 32-bit below 31 nodes, and the
-    walk compacts in place: about 25 bytes per seed while Brent's method
-    runs, whose first check writes the seeds it resolves in place; seeds on
-    limit cycles add their cycles while they are grouped.  The census it
-    returns is columnar: no Python object is built per seed or per attractor
-    until :attr:`AttractorCensus.attractors` is read.
+    All ``2 ** n`` seeds walk at once: Brent's method finds a state on each
+    seed's cycle and lists the seeds on limit cycles by period.  Nothing is
+    sorted over all seeds: a fixed point is keyed by its state, and the few
+    seeds on limit cycles walk their cycle once for its minimum state and
+    the AND of its states, which identify it (two cycles may share a
+    minimum); each equal pair is a group, keyed past the last state, whose
+    cycle is walked once from its minimum.  Attractors are numbered in the
+    order of their smallest seed: a scatter-minimum per key marks those
+    seeds, and their keys, read in seed order, list the attractors; a fixed
+    point's state is its key, written in place, and each group's cycle
+    overwrites its slots.  The table comes from sums over the low 16 seed
+    bits: 256 KiB of float32 per product column on maps with the float32
+    copy, compared against each chunk's cutoff less its high-bit sums, else
+    512 KiB of float64 added to them.  States are 32-bit below 31 nodes,
+    and the walk compacts in place: about 21 bytes per seed while Brent's
+    method runs; seeds on limit cycles add their lists and running minimum
+    and AND while they are grouped.  The census it returns is columnar: no
+    Python object is built per seed or per attractor until
+    :attr:`AttractorCensus.attractors` is read.
 
     Trajectories agree bit for bit with :func:`run_hidden_pattern` on maps
     with the float32 copy, not always on fuzzy maps, whose near-tie sums
@@ -1071,34 +1073,34 @@ def enumerate_attractors(
     seeds[:] = np.arange(n_seeds, dtype=dtype)
     start |= seeds
     del seeds, start
-    period, meet = _brent(table, walk)
+    meet, members = _brent(table, walk)
     del walk
 
-    # A fixed point's key is its state.  Seeds on longer cycles walk their
-    # cycle, rotated to its minimum state; equal rotations of one period
-    # form a group, whose key follows the states and earlier groups.
-    on_cycle = np.flatnonzero(period != 1)
-    lengths = period[on_cycle]
-    del period
-    cycles = []  # (period, one rotated cycle per group), in key order
+    # A fixed point's key is its state.  Every state of a limit cycle holds
+    # its seeds, so the cycle is the orbit of its minimum under ``table[s] |
+    # AND``, the AND of its states: equal (minimum, AND) pairs form a group.
+    cycles = []  # (period, first key, one cycle per group, minimum first)
     key = n_seeds
-    for p in np.flatnonzero(np.bincount(lengths)).tolist():
-        members = on_cycle[lengths == p].astype(dtype)
-        cycle = np.empty((p, members.shape[0]), dtype=dtype)
-        cycle[0] = meet[members]
+    for p, parts in members.items():
+        seeds = np.concatenate(parts)
+        state = meet[seeds]
+        low, mask = state.copy(), state.copy()
+        for _ in range(1, p):
+            _step(table, state, seeds, state)
+            np.minimum(low, state, out=low)
+            mask &= state
+        order = np.lexsort((mask, low))
+        low, mask = low[order], mask[order]
+        new = np.ones(order.shape[0], dtype=bool)
+        new[1:] = (low[1:] != low[:-1]) | (mask[1:] != mask[:-1])
+        meet[seeds[order]] = key + np.cumsum(new, dtype=dtype) - 1
+        rows = np.empty((p, np.count_nonzero(new)), dtype=dtype)
+        rows[0], mask = low[new], mask[new]
         for t in range(1, p):
-            np.take(table, cycle[t - 1], out=cycle[t], mode="clip")
-            cycle[t] |= members
-        shift = cycle.argmin(axis=0) + np.arange(p)[:, None]
-        rows = np.take_along_axis(cycle, shift % p, axis=0).T
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        new = np.ones(rows.shape[0], dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        meet[members[order]] = key + np.cumsum(new, dtype=dtype) - 1
-        cycles.append((p, rows[new]))
-        key += cycles[-1][1].shape[0]
-    del table, on_cycle, lengths
+            _step(table, rows[t - 1], mask, rows[t])
+        cycles.append((p, key, rows.T))
+        key += rows.shape[1]
+    del table, members
 
     # mark each key's smallest seed: the marked seeds' keys, in seed order,
     # are the attractors' keys in the order they are numbered
@@ -1124,11 +1126,9 @@ def enumerate_attractors(
     # before the first cycle take one slot each, so their offsets are their
     # numbers
     periods = np.ones(count, dtype=np.int64)
-    slots, at = [], n_seeds
-    for p, rows in cycles:
-        slots.append(number[at : at + rows.shape[0]])
-        periods[slots[-1]] = p
-        at += rows.shape[0]
+    slots = [(p, number[k : k + len(rows)], rows) for p, k, rows in cycles]
+    for p, slot, _ in slots:
+        periods[slot] = p
     lead = int(number[n_seeds:].min(initial=count))
     offsets = np.arange(count + 1, dtype=np.int64)
     np.cumsum(periods[lead:], out=offsets[lead + 1 :])
@@ -1138,7 +1138,7 @@ def enumerate_attractors(
     states = np.empty(offsets[-1], dtype=np.int64)
     states[:lead] = keys[:lead]
     states[offsets[lead:-1]] = keys[lead:]
-    for (p, rows), slot in zip(cycles, slots):
+    for p, slot, rows in slots:
         states[offsets[slot, None] + np.arange(p)] = rows
     basins = np.bincount(assignment, minlength=count)
     for column in (periods, basins, states, offsets, assignment):

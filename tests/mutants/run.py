@@ -31,6 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 DYNAMICS = "src/fuzzymaps/dynamics.py"
+MODEL_IO = "src/fuzzymaps/model_io.py"
+MODELS = "src/fuzzymaps/models.py"
 TIMEOUT_S = 120  # a mutant that hangs its tests this long counts as killed
 
 
@@ -173,7 +175,7 @@ MUTANTS = (
         "first-check-scatters",
         DYNAMICS,
         "live = _settle(walk, resolved)",
-        "live = _settle(walk, resolved, (1, period, meet))",
+        "live = _settle(walk, resolved, (1, cycles, meet))",
         ("tests/test_dynamics.py::TestEnumeration",),
         "killed",
         "the same census, but the seeds resolved at the first check are "
@@ -190,6 +192,57 @@ MUTANTS = (
         "killed",
         "done columns before the first dropped one are never dropped, so "
         "Brent's walk would not end",
+    ),
+    Mutant(
+        "group-by-minimum-alone",
+        DYNAMICS,
+        "new[1:] = (low[1:] != low[:-1]) | (mask[1:] != mask[:-1])",
+        "new[1:] = low[1:] != low[:-1]",
+        ("tests/test_dynamics.py::TestEnumeration::"
+         "test_cycles_sharing_a_minimum_stay_apart",),
+        "killed",
+        "the period-2 cycles (11, 13) and (11, 15) share their minimum and "
+        "become one attractor",
+    ),
+    Mutant(
+        "group-sorted-by-and-first",
+        DYNAMICS,
+        "order = np.lexsort((mask, low))",
+        "order = np.lexsort((low, mask))",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "equivalent",
+        "equal (minimum, AND) pairs still sort next to each other; group "
+        "keys are only ever read back through the smallest seed's number",
+    ),
+    Mutant(
+        "orbit-under-minimum",
+        DYNAMICS,
+        "_step(table, rows[t - 1], mask, rows[t])",
+        "_step(table, rows[t - 1], rows[0], rows[t])",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "a group's cycle is walked under table[s] | minimum, which ORs in "
+        "bits that other states of the cycle lack",
+    ),
+    Mutant(
+        "period-1-listed",
+        DYNAMICS,
+        "if lam > 1:",
+        "if lam > 0:",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "fixed points resolved after the first check become one-state "
+        "groups beside the fixed point keyed by its state",
+    ),
+    Mutant(
+        "period-2-not-listed",
+        DYNAMICS,
+        "if lam > 1:",
+        "if lam > 2:",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "seeds on period-2 cycles are read as fixed points at their "
+        "meeting state",
     ),
     Mutant(
         "census-numbered-by-key",
@@ -233,8 +286,8 @@ MUTANTS = (
     Mutant(
         "cycle-rows-not-written",
         DYNAMICS,
-        "for (p, rows), slot in zip(cycles, slots):",
-        "for (p, rows), slot in zip(cycles, slots[:0]):",
+        "for p, slot, rows in slots:",
+        "for p, slot, rows in slots[:0]:",
         ("tests/test_dynamics.py::TestEnumeration",),
         "killed",
         "a cycle's slots keep its group key and whatever the memory held",
@@ -247,6 +300,63 @@ MUTANTS = (
         ("tests/test_dynamics.py",),
         "equivalent",
         "seed 0 has no bit to OR into its start state",
+    ),
+    Mutant(
+        "first-step-cutoff-optional",
+        MODEL_IO,
+        '_fields(fs, "policy.first_step", ("mode", "cmp", "cutoff"))',
+        '_fields(fs, "policy.first_step", ("mode", "cmp"), ("cutoff",))',
+        ("tests/test_model_io.py::TestFieldMessages",),
+        "killed",
+        "a first step with no cutoff is reported only after the side rules: "
+        "test_first_step_shape_reported_before_the_side_rules",
+    ),
+    Mutant(
+        "fields-admit-unknown",
+        MODEL_IO,
+        '_expect(not extra, where, f"unknown fields: {sorted(extra)}")',
+        "",
+        ("tests/test_model_io.py::TestFieldMessages",),
+        "killed",
+        "an object's unknown fields are ignored",
+    ),
+    Mutant(
+        "json-writes-non-finite-floats-by-repr",
+        MODEL_IO,
+        "type(value) is float and math.isfinite(value)",
+        "type(value) is float",
+        ("tests/test_model_io.py::TestJsonWriter",),
+        "killed",
+        "NaN and the infinities are written as nan and inf, which no JSON "
+        "reader takes",
+    ),
+    Mutant(
+        "arr-one-space-indent",
+        MODEL_IO,
+        'body = f",\\n  {pad}".join(items)',
+        'body = f",\\n {pad}".join(items)',
+        ("tests/test_model_io.py::TestJsonWriter",),
+        "killed",
+        "every item after a list's or object's first is indented one space "
+        "short",
+    ),
+    Mutant(
+        "block-position-one-late",
+        MODELS,
+        "on.add(part.offsets[b - 1] + p - 1)",
+        "on.add(part.offsets[b - 1] + p)",
+        ("tests/test_models.py::TestNameForms",),
+        "killed",
+        "block.position names count positions from 0",
+    ),
+    Mutant(
+        "label-length-64-refused",
+        MODELS,
+        'len(lab) > 64),',
+        'len(lab) >= 64),',
+        ("tests/test_model_io.py::TestLabelRules",),
+        "killed",
+        "a 64-character label is refused: test_64_character_label_passes",
     ),
     Mutant(
         "partition-matrix-second-copy",

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -962,15 +963,24 @@ class TestEnumeration:
         walk = before.copy().view(Counted)
         done = np.zeros(n, dtype=bool)
         done[done_at] = True
-        period, meet = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-        kept = dynamics._settle(walk, done, (7, period, meet))
+        cycles, meet = {}, np.zeros(n, dtype=int)
+        kept = dynamics._settle(walk, done, (7, cycles, meet))
         stay = np.flatnonzero(~done)
         assert kept == stay.shape[0]
         assert np.array_equal(walk[:, :kept], before[:, stay])
-        assert np.flatnonzero(period).tolist() == done_at
-        assert (period[done_at] == 7).all()
+        # the done seeds are listed under their period, 7
+        assert set(cycles) <= {7}
+        assert np.concatenate(cycles.get(7, [[]])).tolist() == done_at
+        assert np.flatnonzero(meet).tolist() == done_at
         assert np.array_equal(meet[done_at], before[2, done_at])
         assert len(copies) == (3 - done_at[0] // dynamics._CHUNK if done_at else 0)
+        # a seed resolved with period 1 is a fixed point: its meeting state
+        # is written and nothing is listed
+        walk = before.copy()
+        cycles, meet = {}, np.zeros(n, dtype=int)
+        assert dynamics._settle(walk, done, (1, cycles, meet)) == kept
+        assert cycles == {}
+        assert np.array_equal(meet[done_at], before[2, done_at])
 
     def test_attractors_are_numbered_by_smallest_seed_not_by_key(self):
         # a fixed point's key is its state, and cycle groups are keyed past
@@ -1149,6 +1159,56 @@ class TestEnumeration:
 
         _, peak = _traced_peak(census)
         assert peak <= 13 * 2**20
+
+    def test_peak_memory_of_a_cycle_heavy_2_20_census(self):
+        # 23.4 MiB: seeds on limit cycles are grouped by their cycle's
+        # minimum state and AND, with no (period x members) block of states
+        w = np.random.default_rng(5).choice([-1, 0, 1], size=(20, 20), p=[.4, .2, .4])
+        m = SuperMatrix.simple(w.astype(float))
+        policy = ThresholdPolicy(GT0, GT0, first_step_mode=FirstStepMode.NEVER)
+        census, peak = _traced_peak(
+            lambda: enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+        )
+        assert census.basins[census.periods > 1].sum() >= 0.3 * (1 << 20)
+        assert peak <= 25 * 2**20
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the census adds a fuzzy map's sums in another order than exact "
+        "arithmetic, so a near-tie cutoff can flip a bit",
+    )
+    def test_a_fuzzy_near_tie_follows_exact_sums(self):
+        # seed 49 = {0, 4, 5} sums 0.2 + 0.4 + 0.6 into node 2: the stored
+        # floats add to just below the cutoff, but to the cutoff itself in
+        # float64, so the census turns node 2 on and settles at 55
+        w = [
+            [0.1, 0.3, 0.2, 0, 0, 0.2],
+            [0.3, 0.7, 0, 0.2, 0.1, 0],
+            [0, 0.6, 0, 0.6, 0.3, 0],
+            [0, 0.7, 0.4, 0, 0, 0.7],
+            [0.3, 0, 0.4, 0, 0, 0],
+            [0, 0.7, 0.6, 0, 0, 0.1],
+        ]
+        rule = ThresholdRule(Comparator.GE, 1.2000000000000002)
+        policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
+        census = enumerate_attractors(
+            SuperMatrix.simple(w), Side.DOMAIN, policy, one_sided=True
+        )
+        cutoff, seed = Fraction(rule.cutoff), 49
+
+        def exact_round(s):
+            on = [i for i in range(6) if s >> i & 1]
+            sums = [sum(Fraction(w[i][j]) for i in on) for j in range(6)]
+            return seed | sum(1 << j for j in range(6) if sums[j] >= cutoff)
+
+        seen: dict = {}
+        state = exact_round(seed)
+        while state not in seen:
+            seen[state] = len(seen)
+            state = exact_round(state)
+        cycle = canonical(tuple(list(seen)[seen[state] :]))
+        assert cycle == (49,)
+        assert census.attractor_of(seed).states == cycle
 
     def test_census_never_imports_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, about 1 MB of
