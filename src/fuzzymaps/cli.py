@@ -98,7 +98,8 @@ def _build_policy(spec: ModelSpec, args) -> ThresholdPolicy:
         # an explicit rule pins the first product unconditionally
         changes["first_step_rule"] = _parse_rule_arg(fs, "--first-step")
         changes["first_step_mode"] = FirstStepMode.ALWAYS
-    return replace(spec.policy, **changes)
+    # no flag: the model's own policy, not a rebuilt and re-checked copy
+    return replace(spec.policy, **changes) if changes else spec.policy
 
 
 def _load_spec(args) -> ModelSpec:

@@ -1106,10 +1106,13 @@ def enumerate_attractors(
     # are the attractors' keys in the order they are numbered
     first = np.full(key, n_seeds, dtype=dtype)
     np.minimum.at(first, meet, np.arange(n_seeds, dtype=dtype))
-    mark = np.zeros(n_seeds, dtype=bool)
-    mark[first[first < n_seeds]] = True
+    # a key no seed reaches keeps n_seeds, which marks the one spare slot;
+    # one intp scatter of every key costs less than selecting through a
+    # mask and scattering 32-bit indices
+    mark = np.zeros(n_seeds + 1, dtype=bool)
+    mark[first.astype(np.intp)] = True
     del first
-    keys = meet[mark]
+    keys = meet[mark[:n_seeds]]
     del mark
     count = keys.shape[0]
     # NumPy casts 32-bit indices as a scatter goes, at twice its cost, and

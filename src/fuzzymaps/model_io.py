@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -151,11 +152,6 @@ def serialize_model(spec: ModelSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _expect(cond: bool, where: str, what: str) -> None:
-    if not cond:
-        raise ModelSchemaError(f"{where}: {what}")
-
-
 def _float(x) -> float:
     """``float(x)``, reading an integer beyond the float range as ``±inf``.
 
@@ -185,40 +181,75 @@ def _int(literal: str):
         return float(literal)
 
 
+# The shape checks below build a message only once their test has failed.
+# json yields int, float, bool, None, str, list or dict, each its own type
+# (bool included), so a set of types tests a whole run of values in one
+# C-level pass; only a failing pass walks on to name the first bad value.
+_lists = {list}.issuperset
+_strings = {str}.issuperset
+_numbers = {int, float}.issuperset
+
+
 def _fields(obj, where: str, required, optional=()) -> None:
     """An object with every ``required`` field and others only from ``optional``."""
-    _expect(isinstance(obj, dict), where, "expected an object")
+    if not isinstance(obj, dict):
+        raise ModelSchemaError(f"{where}: expected an object")
     extra = set(obj).difference(required, optional)
-    _expect(not extra, where, f"unknown fields: {sorted(extra)}")
+    if extra:
+        raise ModelSchemaError(f"{where}: unknown fields: {sorted(extra)}")
     missing = set(required).difference(obj)
-    _expect(not missing, where, f"missing fields: {sorted(missing)}")
+    if missing:
+        raise ModelSchemaError(f"{where}: missing fields: {sorted(missing)}")
 
 
 def _parse_rule(obj, where: str, optional=()) -> ThresholdRule:
     _fields(obj, where, ("cmp", "cutoff"), optional)
     cmp_val = obj["cmp"]
-    _expect(cmp_val in _CMPS, where, f"cmp must be ge or gt, got {cmp_val!r}")
+    if cmp_val not in _CMPS:
+        raise ModelSchemaError(f"{where}: cmp must be ge or gt, got {cmp_val!r}")
     cutoff = obj["cutoff"]
-    _expect(
-        isinstance(cutoff, (int, float)) and not isinstance(cutoff, bool),
-        where,
-        "cutoff must be a number",
-    )
+    if type(cutoff) not in (int, float):
+        raise ModelSchemaError(f"{where}: cutoff must be a number")
     return ThresholdRule(Comparator(cmp_val), _float(cutoff))
 
 
 def _parse_label_blocks(obj, where: str) -> tuple[tuple[str, ...], ...]:
     _fields(obj, where, ("blocks",))
     blocks = obj["blocks"]
-    _expect(isinstance(blocks, list) and blocks, where, "blocks must be a non-empty array")
-    out = []
-    for i, blk in enumerate(blocks):
-        loc = f"{where}.blocks[{i}]"
-        _expect(isinstance(blk, list) and blk, loc, "each block must be a non-empty array")
-        for lab in blk:
-            _expect(isinstance(lab, str), loc, "labels must be strings")
-        out.append(tuple(blk))
-    return tuple(out)
+    if not (isinstance(blocks, list) and blocks):
+        raise ModelSchemaError(f"{where}: blocks must be a non-empty array")
+    if not (
+        _lists(map(type, blocks))
+        and all(blocks)
+        and _strings(map(type, chain.from_iterable(blocks)))
+    ):
+        for i, blk in enumerate(blocks):
+            if not (isinstance(blk, list) and blk):
+                raise ModelSchemaError(
+                    f"{where}.blocks[{i}]: each block must be a non-empty array"
+                )
+            if not _strings(map(type, blk)):
+                raise ModelSchemaError(f"{where}.blocks[{i}]: labels must be strings")
+    return tuple(map(tuple, blocks))
+
+
+def _bad_row(matrix: list) -> None:
+    """Raise naming the first row of ``matrix`` that is not an array as wide
+    as the first row, or the first entry that is not a number."""
+    n_cols = None
+    for i, row in enumerate(matrix):
+        if not isinstance(row, list):
+            raise ModelSchemaError(f"matrix[{i}]: each row must be an array")
+        if n_cols is None:
+            n_cols = len(row)
+        if len(row) != n_cols:
+            raise ModelSchemaError(
+                f"matrix[{i}]: row has {len(row)} entries, expected {n_cols}"
+            )
+        if not _numbers(map(type, row)):
+            for j, v in enumerate(row):
+                if type(v) not in (int, float):
+                    raise ModelSchemaError(f"matrix[{i}][{j}]: entries must be numbers")
 
 
 def parse_model(text: str) -> ModelSpec:
@@ -236,66 +267,53 @@ def parse_model(text: str) -> ModelSpec:
         raise ModelSyntaxError(f"not valid JSON: {e}") from e
     _fields(doc, "document", _TOP_KEYS, ("description",))
     version = doc["format_version"]
-    _expect(
-        type(version) is int and version == FORMAT_VERSION,
-        "format_version",
-        f"expected {FORMAT_VERSION}, got {version!r}",
-    )
-    _expect(isinstance(doc["name"], str), "name", "must be a string")
+    if not (type(version) is int and version == FORMAT_VERSION):
+        raise ModelSchemaError(
+            f"format_version: expected {FORMAT_VERSION}, got {version!r}"
+        )
+    if not isinstance(doc["name"], str):
+        raise ModelSchemaError("name: must be a string")
     kind = doc["kind"]
-    _expect(kind in _KINDS, "kind", f"must be one of {_KINDS}, got {kind!r}")
+    if kind not in _KINDS:
+        raise ModelSchemaError(f"kind: must be one of {_KINDS}, got {kind!r}")
     ed = doc["entry_domain"]
-    _expect(ed in _DOMAINS, "entry_domain", f"must be one of {_DOMAINS}, got {ed!r}")
+    if ed not in _DOMAINS:
+        raise ModelSchemaError(f"entry_domain: must be one of {_DOMAINS}, got {ed!r}")
 
     domain_blocks = _parse_label_blocks(doc["domain"], "domain")
     range_blocks = _parse_label_blocks(doc["range"], "range")
 
     matrix = doc["matrix"]
-    _expect(isinstance(matrix, list) and matrix, "matrix", "must be a non-empty array")
-    n_cols = None
-    # json yields int, float, bool, None, str, list or dict; bool is its own
-    # type, so this one C-level pass per row admits exactly the numbers
-    numbers = {int, float}.issuperset
-    for i, row in enumerate(matrix):
-        loc = f"matrix[{i}]"
-        _expect(isinstance(row, list), loc, "each row must be an array")
-        if n_cols is None:
-            n_cols = len(row)
-        _expect(
-            len(row) == n_cols,
-            loc,
-            f"row has {len(row)} entries, expected {n_cols}",
-        )
-        if not numbers(map(type, row)):
-            for j, v in enumerate(row):
-                _expect(
-                    isinstance(v, (int, float)) and not isinstance(v, bool),
-                    f"matrix[{i}][{j}]",
-                    "entries must be numbers",
-                )
+    if not (isinstance(matrix, list) and matrix):
+        raise ModelSchemaError("matrix: must be a non-empty array")
+    # the rows' types, their widths and their entries' types: one pass each
+    if not (
+        _lists(map(type, matrix))
+        and len(set(map(len, matrix))) == 1
+        and _numbers(map(type, chain.from_iterable(matrix)))
+    ):
+        _bad_row(matrix)
+    n_cols = len(matrix[0])
     n_rows = len(matrix)
-    row_sizes = tuple(len(b) for b in domain_blocks)
-    col_sizes = tuple(len(b) for b in range_blocks)
-    _expect(
-        sum(row_sizes) == n_rows,
-        "matrix",
-        f"{n_rows} rows against {sum(row_sizes)} domain labels",
-    )
-    _expect(
-        sum(col_sizes) == n_cols,
-        "matrix",
-        f"{n_cols} columns against {sum(col_sizes)} range labels",
-    )
+    row_sizes = tuple(map(len, domain_blocks))
+    col_sizes = tuple(map(len, range_blocks))
+    if sum(row_sizes) != n_rows:
+        raise ModelSchemaError(
+            f"matrix: {n_rows} rows against {sum(row_sizes)} domain labels"
+        )
+    if sum(col_sizes) != n_cols:
+        raise ModelSchemaError(
+            f"matrix: {n_cols} columns against {sum(col_sizes)} range labels"
+        )
 
     pol = doc["policy"]
     _fields(pol, "policy", ("domain", "range", "first_step"))
     fs = pol["first_step"]
     _fields(fs, "policy.first_step", ("mode", "cmp", "cutoff"))
-    _expect(
-        fs["mode"] in _MODES,
-        "policy.first_step.mode",
-        f"must be one of {_MODES}, got {fs['mode']!r}",
-    )
+    if fs["mode"] not in _MODES:
+        raise ModelSchemaError(
+            f"policy.first_step.mode: must be one of {_MODES}, got {fs['mode']!r}"
+        )
     policy = ThresholdPolicy(
         domain_rule=_parse_rule(pol["domain"], "policy.domain"),
         range_rule=_parse_rule(pol["range"], "policy.range"),
@@ -304,7 +322,8 @@ def parse_model(text: str) -> ModelSpec:
     )
 
     description = doc.get("description", "")
-    _expect(isinstance(description, str), "description", "must be a string")
+    if not isinstance(description, str):
+        raise ModelSchemaError("description: must be a string")
 
     # the checked rows go to SuperMatrix as lists: its copy is the only one
     parts = Partition(row_sizes), Partition(col_sizes)

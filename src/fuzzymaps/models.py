@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional
 
 from .dynamics import (
@@ -146,6 +147,8 @@ _RELATIONAL_KIND = {
 }
 # C0 control characters, which DOT can neither hold nor escape
 _CONTROL = re.compile("[\x00-\x1f]").search
+# the most characters a label may hold
+_MAX_LABEL = 64
 
 
 def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
@@ -162,9 +165,14 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
         ("range", spec.range_labels, m.col_partition),
     ):
         for i, blk in enumerate(blocks):
+            # one test of the block's longest label and one search of its
+            # joined labels; only a block failing either is walked
+            joined = "".join(blk)
+            if max(map(len, blk), default=0) <= _MAX_LABEL and not _CONTROL(joined):
+                continue
             for lab in blk:
                 for code, what, bad in (
-                    ("label_length", "longer than 64 characters", len(lab) > 64),
+                    ("label_length", "longer than 64 characters", len(lab) > _MAX_LABEL),
                     ("label_control", "holds a control character", _CONTROL(lab)),
                 ):
                     if bad:
@@ -189,9 +197,9 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                             f"{len(blk)} labels against block width {size}",
                         )
                     )
-        counts = Counter(label for blk in blocks for label in blk)
-        dupes = sorted(x for x, c in counts.items() if c > 1)
-        if dupes:
+        flat = list(chain.from_iterable(blocks))
+        if len(set(flat)) != len(flat):
+            dupes = sorted(x for x, c in Counter(flat).items() if c > 1)
             out.append(
                 Diagnostic(
                     "duplicate_labels",

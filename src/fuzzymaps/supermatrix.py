@@ -363,6 +363,9 @@ def check_entry_domain(
 ) -> list[tuple[int, int, float]]:
     """Cells violating ``domain`` as (row, col, value) in row-major order;
     empty means ok."""
-    rows, cols = np.nonzero(~EntryDomain(domain).contains(matrix.entries))
+    inside = EntryDomain(domain).contains(matrix.entries)
+    if inside.all():
+        return []
+    rows, cols = np.nonzero(~inside)
     values = matrix.entries[rows, cols]
     return list(zip(rows.tolist(), cols.tolist(), values.tolist()))

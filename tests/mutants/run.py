@@ -81,9 +81,12 @@ MUTANTS = (
         DYNAMICS,
         "else math.ceil(c) - 1",
         "else math.floor(c) - (c == math.floor(c))",
-        ("tests/test_dynamics.py",),
+        ("tests/test_dynamics.py::TestEngineCore",
+         "tests/test_dynamics.py::TestEnumeration",
+         "tests/test_dynamics.py::TestExactProduct"),
         "equivalent",
-        "ceil(c) - 1 is floor(c) - 1 for integral c and floor(c) otherwise",
+        "ceil(c) - 1 is floor(c) - 1 for integral c and floor(c) otherwise; "
+        "the listed classes meet both kinds of ge cutoff on the exact path",
     ),
     Mutant(
         "threshold-clamp-2-23",
@@ -247,12 +250,21 @@ MUTANTS = (
     Mutant(
         "census-numbered-by-key",
         DYNAMICS,
-        "keys = meet[mark]",
-        "keys = np.sort(meet[mark])",
+        "keys = meet[mark[:n_seeds]]",
+        "keys = np.sort(meet[mark[:n_seeds]])",
         ("tests/test_dynamics.py::TestEnumeration::"
          "test_attractors_are_numbered_by_smallest_seed_not_by_key",),
         "killed",
         "attractors are numbered by fixed state, then by cycle group",
+    ),
+    Mutant(
+        "mark-without-a-spare-slot",
+        DYNAMICS,
+        "mark = np.zeros(n_seeds + 1, dtype=bool)",
+        "mark = np.zeros(n_seeds, dtype=bool)",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "a key that no seed reaches scatters past the last seed",
     ),
     Mutant(
         "fixed-state-one-late",
@@ -297,7 +309,10 @@ MUTANTS = (
         DYNAMICS,
         "start |= seeds",
         "start[1:] |= seeds[1:]",
-        ("tests/test_dynamics.py",),
+        ("tests/test_dynamics.py::TestEnumeration",
+         "tests/test_dynamics.py::TestExactProduct",
+         "tests/test_dynamics.py::TestHiddenPattern::"
+         "test_antisymmetric_two_node_matches_enumeration"),
         "equivalent",
         "seed 0 has no bit to OR into its start state",
     ),
@@ -314,8 +329,8 @@ MUTANTS = (
     Mutant(
         "fields-admit-unknown",
         MODEL_IO,
-        '_expect(not extra, where, f"unknown fields: {sorted(extra)}")',
-        "",
+        "    if extra:\n",
+        "    if False:\n",
         ("tests/test_model_io.py::TestFieldMessages",),
         "killed",
         "an object's unknown fields are ignored",
@@ -341,6 +356,85 @@ MUTANTS = (
         "short",
     ),
     Mutant(
+        "row-pass-admits-a-short-row",
+        MODEL_IO,
+        "and len(set(map(len, matrix))) == 1",
+        "and len(set(map(len, matrix))) <= 2",
+        ("tests/test_model_io.py::TestFirstBadItemAfterValidOnes",),
+        "killed",
+        "a short row reaches NumPy, which raises ValueError: "
+        "test_short_row_after_valid_rows[False]",
+    ),
+    Mutant(
+        "row-pass-types-of-the-first-row",
+        MODEL_IO,
+        "and _numbers(map(type, chain.from_iterable(matrix)))",
+        "and _numbers(map(type, matrix[0]))",
+        ("tests/test_model_io.py::TestParseMessages",),
+        "killed",
+        "a true in a later row is read as 1: test_non_number_entry[true-7]",
+    ),
+    Mutant(
+        "block-pass-skips-label-types",
+        MODEL_IO,
+        "and _strings(map(type, chain.from_iterable(blocks)))",
+        "and _strings(map(type, blocks[0]))",
+        ("tests/test_model_io.py::TestFirstBadItemAfterValidOnes",),
+        "killed",
+        "a non-string label after the first block reaches validation: "
+        "test_non_string_label_in_a_later_block",
+    ),
+    Mutant(
+        "label-pass-skips-the-last-length",
+        MODELS,
+        "max(map(len, blk), default=0)",
+        "max(map(len, blk[:-1]), default=0)",
+        ("tests/test_model_io.py::TestFirstBadItemAfterValidOnes",),
+        "killed",
+        "a block's last label is never measured: "
+        "test_bad_last_label_of_a_middle_block[label_length]",
+    ),
+    Mutant(
+        "label-pass-skips-the-last-control",
+        MODELS,
+        'joined = "".join(blk)',
+        'joined = "".join(blk[:-1])',
+        ("tests/test_model_io.py::TestFirstBadItemAfterValidOnes",),
+        "killed",
+        "a block's last label is never searched for a control character: "
+        "test_bad_last_label_of_a_middle_block[label_control]",
+    ),
+    Mutant(
+        "label-pass-of-an-empty-block",
+        MODELS,
+        "max(map(len, blk), default=0)",
+        "max(map(len, blk))",
+        ("tests/test_models.py::TestValidate",),
+        "killed",
+        "an empty label block raises ValueError instead of its diagnostic: "
+        "test_empty_label_block_of_a_code_built_spec",
+    ),
+    Mutant(
+        "duplicate-pass-always-passes",
+        MODELS,
+        "if len(set(flat)) != len(flat):",
+        "if False:",
+        ("tests/test_model_io.py::TestFirstBadItemAfterValidOnes",),
+        "killed",
+        "repeated labels are never reported: "
+        "test_label_repeated_across_blocks",
+    ),
+    Mutant(
+        "entry-pass-skips-the-last-cell",
+        "src/fuzzymaps/supermatrix.py",
+        "if inside.all():",
+        "if inside.ravel()[:-1].all():",
+        ("tests/test_model_io.py::TestFirstBadItemAfterValidOnes",),
+        "killed",
+        "a matrix bad only in its last cell passes: "
+        "test_entry_outside_the_domain_in_the_last_cell",
+    ),
+    Mutant(
         "block-position-one-late",
         MODELS,
         "on.add(part.offsets[b - 1] + p - 1)",
@@ -352,8 +446,8 @@ MUTANTS = (
     Mutant(
         "label-length-64-refused",
         MODELS,
-        'len(lab) > 64),',
-        'len(lab) >= 64),',
+        "_MAX_LABEL = 64",
+        "_MAX_LABEL = 63",
         ("tests/test_model_io.py::TestLabelRules",),
         "killed",
         "a 64-character label is refused: test_64_character_label_passes",

@@ -719,6 +719,76 @@ class TestFieldMessages:
         assert str(err.value) == "policy.first_step: missing fields: ['cutoff']"
 
 
+class TestFirstBadItemAfterValidOnes:
+    """The checks test a whole matrix, block or side at once; when one fails,
+    the first bad item is named as a walk item by item would name it."""
+
+    @pytest.mark.parametrize("bad_entry_after", [False, True])
+    def test_short_row_after_valid_rows(self, bad_entry_after):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["matrix"][9] = doc["matrix"][9][:5]
+        if bad_entry_after:
+            doc["matrix"][11][0] = None
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == "matrix[9]: row has 5 entries, expected 6"
+
+    @pytest.mark.parametrize("label", [7, None, ["e4^3"]])
+    def test_non_string_label_in_a_later_block(self, label):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["domain"]["blocks"][2][3] = label
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == "domain.blocks[2]: labels must be strings"
+
+    @pytest.mark.parametrize("block", [[], "e1^2", None])
+    def test_bad_later_block(self, block):
+        doc = json.loads(fixture_text("ex_1_2_2"))
+        doc["domain"]["blocks"][1] = block
+        doc["domain"]["blocks"][2][0] = 1
+        with pytest.raises(ModelSchemaError) as err:
+            parse_model(json.dumps(doc))
+        assert str(err.value) == (
+            "domain.blocks[1]: each block must be a non-empty array"
+        )
+
+    @pytest.mark.parametrize(
+        "label, what, code",
+        [
+            ("E" * 65, "longer than 64 characters", "label_length"),
+            ("E4\x1b2", "holds a control character", "label_control"),
+        ],
+        ids=["label_length", "label_control"],
+    )
+    def test_bad_last_label_of_a_middle_block(self, label, what, code):
+        def edit(doc):
+            doc["range"]["blocks"][1][3] = label
+
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == f"{code} at range.blocks[1]: label {label!r} {what}"
+
+    def test_label_repeated_across_blocks(self):
+        def edit(doc):
+            doc["range"]["blocks"][2][4] = "E2^1"
+
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == (
+            "duplicate_labels at range.blocks: labels repeat: E2^1"
+        )
+
+    def test_entry_outside_the_domain_in_the_last_cell(self):
+        def edit(doc):
+            doc["matrix"][4][11] = 0.5
+
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == (
+            "entry_domain at matrix[4][11]: entry 0.5 outside signed_ternary"
+        )
+
+
 class TestControlCharacters:
     """DOT can neither hold nor escape a C0 control character."""
 

@@ -99,6 +99,15 @@ class TestValidate:
         diags = validate_model(bad)
         assert any(d.code == "label_block_size" for d in diags)
 
+    def test_empty_label_block_of_a_code_built_spec(self):
+        bad = tiny_spec(
+            domain_labels=((),),
+            matrix=SuperMatrix.simple([[1.0]] * 6),
+        )
+        assert [str(d) for d in validate_model(bad)] == [
+            "label_block_size at domain.blocks[0]: 0 labels against block width 6"
+        ]
+
     def test_more_label_blocks_than_partition_blocks(self):
         bad = tiny_spec(domain_labels=(("x",), ("extra",)))
         assert [str(d) for d in validate_model(bad)] == [
