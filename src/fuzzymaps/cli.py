@@ -21,6 +21,7 @@ from .dynamics import (
     ThresholdRule,
     enumerate_attractors,
     sweep_unit_seeds,
+    DEFAULT_MAX_STATES,
     DEFAULT_MAX_STEPS,
 )
 from .errors import (
@@ -313,70 +314,65 @@ def _states_arg(text: str) -> int:
     return _steps_arg(text, "max-states")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fuzzymaps",
-        description="Threshold dynamics over partitioned connection matrices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, side=False, policy=False, steps=False):
-        p.add_argument("model", nargs="?", help="model document path")
-        p.add_argument(
-            "--fixture",
-            choices=FIXTURE_NAMES,
-            help="use a bundled fixture instead of a path",
-        )
-        p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("-o", "--output", help="write output to a file")
-        if side:
-            p.add_argument("--side", choices=["domain", "range"])
-        if policy:
-            p.add_argument("--threshold-domain", metavar="CMP:CUTOFF")
-            p.add_argument("--threshold-range", metavar="CMP:CUTOFF")
-            p.add_argument(
-                "--first-step", metavar="auto|never|always|CMP:CUTOFF"
-            )
-        if steps:
-            p.add_argument(
-                "--max-steps", type=_steps_arg, default=DEFAULT_MAX_STEPS
-            )
-
-    p = sub.add_parser("validate", help="check a model document")
-    add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("run", help="run one seed to its hidden pattern")
-    add_common(p, side=True, policy=True, steps=True)
+def _add_common(p, side=False, policy=False, steps=False):
+    p.add_argument("model", nargs="?", help="model document path")
     p.add_argument(
-        "--on",
-        metavar="LABELS",
-        help="comma-separated labels, 1-based indices or block.position",
+        "--fixture",
+        choices=FIXTURE_NAMES,
+        help="use a bundled fixture instead of a path",
     )
-    p.add_argument("--trace", action="store_true", help="include every product")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sweep", help="run every unit seed on one side")
-    add_common(p, side=True, policy=True, steps=True)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("attractors", help="enumerate every seed exhaustively")
-    add_common(p, side=True, policy=True)
-    p.add_argument("--max-states", type=_states_arg, default=1 << 20)
-    p.set_defaults(func=_cmd_attractors)
-
-    p = sub.add_parser("dot", help="export the causal graph as DOT")
-    add_common(p)
-    p.set_defaults(func=_cmd_dot)
-
-    return parser
+    p.add_argument("--json", action="store_true", help="machine output")
+    p.add_argument("-o", "--output", help="write output to a file")
+    if side:
+        p.add_argument("--side", choices=["domain", "range"])
+    if policy:
+        p.add_argument("--threshold-domain", metavar="CMP:CUTOFF")
+        p.add_argument("--threshold-range", metavar="CMP:CUTOFF")
+        p.add_argument(
+            "--first-step", metavar="auto|never|always|CMP:CUTOFF"
+        )
+    if steps:
+        p.add_argument(
+            "--max-steps", type=_steps_arg, default=DEFAULT_MAX_STEPS
+        )
 
 
 # parse_args leaves a parser unchanged, so one serves every call.  It is
 # built at import, among the other long-lived objects: first built inside a
 # run, after large arrays had come and gone, it made the heap give memory
 # back to the system after each large census, to be faulted in again.
-_PARSER = build_parser()
+_PARSER = argparse.ArgumentParser(
+    prog="fuzzymaps",
+    description="Threshold dynamics over partitioned connection matrices.",
+)
+_sub = _PARSER.add_subparsers(dest="command", required=True)
+
+_p = _sub.add_parser("validate", help="check a model document")
+_add_common(_p)
+_p.set_defaults(func=_cmd_validate)
+
+_p = _sub.add_parser("run", help="run one seed to its hidden pattern")
+_add_common(_p, side=True, policy=True, steps=True)
+_p.add_argument(
+    "--on",
+    metavar="LABELS",
+    help="comma-separated labels, 1-based indices or block.position",
+)
+_p.add_argument("--trace", action="store_true", help="include every product")
+_p.set_defaults(func=_cmd_run)
+
+_p = _sub.add_parser("sweep", help="run every unit seed on one side")
+_add_common(_p, side=True, policy=True, steps=True)
+_p.set_defaults(func=_cmd_sweep)
+
+_p = _sub.add_parser("attractors", help="enumerate every seed exhaustively")
+_add_common(_p, side=True, policy=True)
+_p.add_argument("--max-states", type=_states_arg, default=DEFAULT_MAX_STATES)
+_p.set_defaults(func=_cmd_attractors)
+
+_p = _sub.add_parser("dot", help="export the causal graph as DOT")
+_add_common(_p)
+_p.set_defaults(func=_cmd_dot)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STEPS = 10_000
+DEFAULT_MAX_STATES = 1 << 20
 
 
 class Side(str, Enum):
@@ -136,7 +137,11 @@ class ThresholdPolicy:
         )
         # a NaN cutoff compares false everywhere and an infinite one settles
         # every comparison: such a policy would run to a meaningless pattern
-        for where, rule in self.named_rules():
+        for where, rule in (
+            ("domain", self.domain_rule),
+            ("range", self.range_rule),
+            ("first_step", self.first_step_rule),
+        ):
             if not math.isfinite(rule.cutoff):
                 raise NonFiniteCutoff(
                     f"cutoff at policy.{where}: cutoff {rule.cutoff} is not finite"
@@ -155,14 +160,6 @@ class ThresholdPolicy:
                 **self.first_step_rule.as_dict(),
             },
         }
-
-    def named_rules(self) -> tuple[tuple[str, ThresholdRule], ...]:
-        """The three rules under their names in a model document."""
-        return (
-            ("domain", self.domain_rule),
-            ("range", self.range_rule),
-            ("first_step", self.first_step_rule),
-        )
 
     def first_step_applies(self, seed: "StateVector", step_index: int) -> bool:
         if step_index != 1 or self.first_step_mode is FirstStepMode.NEVER:
@@ -416,10 +413,11 @@ def step(
 def _check_run(
     matrix: SuperMatrix,
     seed: StateVector,
-    policy: ThresholdPolicy,
     max_steps: int,
     one_sided: bool,
 ) -> None:
+    if not hasattr(type(max_steps), "__index__"):  # what islice takes as a stop
+        raise TypeError(f"max_steps must be an integer, got {max_steps!r}")
     if max_steps < 2:
         raise ValueError("max_steps must be at least 2")
     if one_sided and matrix.n_rows != matrix.n_cols:
@@ -446,7 +444,7 @@ def run_hidden_pattern(
     visit is a fixed point, any longer gap a limit cycle.  Every product is
     the one :func:`step` computes; the trace holds its records.
     """
-    _check_run(matrix, seed, policy, max_steps, one_sided)
+    _check_run(matrix, seed, max_steps, one_sided)
     (pattern,) = _run(
         matrix,
         np.array([seed.bits], dtype=bool),
@@ -663,7 +661,7 @@ def sweep_unit_seeds(
     side = Side(side)
     part = _side_partition(matrix, side)
     unit = StateVector.from_on_indices([0], side, part)
-    _check_run(matrix, unit, policy, max_steps, one_sided)  # all share one shape
+    _check_run(matrix, unit, max_steps, one_sided)  # all share one shape
     patterns = _run(
         matrix,
         np.eye(part.total, dtype=bool),
@@ -744,9 +742,6 @@ class AttractorCensus:
                     f"seed mask {mask} out of range for {self.n_seeds} seeds"
                 )
         return self.attractors[int(self.assignment[mask])]
-
-    def basin_sizes(self) -> tuple[int, ...]:
-        return tuple(self.basins.tolist())
 
     def _columns(self) -> tuple[np.ndarray, ...]:
         return self.periods, self.basins, self.states, self.offsets, self.assignment
@@ -1012,7 +1007,7 @@ def enumerate_attractors(
     matrix: SuperMatrix,
     side: Side,
     policy: ThresholdPolicy,
-    state_limit: int = 1 << 20,
+    state_limit: int = DEFAULT_MAX_STATES,
     one_sided: bool = False,
 ) -> AttractorCensus:
     """Run every possible seed on ``side`` and group outcomes by attractor.

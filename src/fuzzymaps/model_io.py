@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain
-from typing import Optional
 
 import numpy as np
 
@@ -265,6 +264,8 @@ def parse_model(text: str) -> ModelSpec:
         doc = _loads(text)
     except json.JSONDecodeError as e:
         raise ModelSyntaxError(f"not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise ModelSyntaxError("arrays or objects nested too deeply to read") from e
     _fields(doc, "document", _TOP_KEYS, ("description",))
     version = doc["format_version"]
     if not (type(version) is int and version == FORMAT_VERSION):
@@ -368,10 +369,10 @@ def build_report(
     spec: ModelSpec,
     seed: StateVector,
     pattern: HiddenPattern,
-    policy: Optional[ThresholdPolicy] = None,
+    policy: ThresholdPolicy,
     include_trace: bool = False,
 ) -> RunReport:
-    return RunReport(spec, seed, pattern, policy or spec.policy, include_trace)
+    return RunReport(spec, seed, pattern, policy, include_trace)
 
 
 def _arr(items, pad: str, ends: str = "[]") -> str:

@@ -147,6 +147,10 @@ _RELATIONAL_KIND = {
 }
 # C0 control characters, which DOT can neither hold nor escape
 _CONTROL = re.compile("[\x00-\x1f]").search
+# lone surrogates, which no UTF-8 writer can encode
+_SURROGATE = re.compile("[\ud800-\udfff]").search
+# either of the two, so a valid label block takes one search
+_UNWRITABLE = re.compile("[\x00-\x1f\ud800-\udfff]").search
 # the most characters a label may hold
 _MAX_LABEL = 64
 
@@ -155,10 +159,15 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
     """Report every violated invariant; an empty result means ok."""
     out: list[Diagnostic] = []
     m = spec.matrix
+    structure = classify(m)
 
     if _CONTROL(spec.name):
         out.append(
             Diagnostic("name_control", "name", "must not hold a control character")
+        )
+    if _SURROGATE(spec.name):
+        out.append(
+            Diagnostic("lone_surrogate", "name", "must not hold a lone surrogate")
         )
     for side, blocks, part in (
         ("domain", spec.domain_labels, m.row_partition),
@@ -168,12 +177,13 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
             # one test of the block's longest label and one search of its
             # joined labels; only a block failing either is walked
             joined = "".join(blk)
-            if max(map(len, blk), default=0) <= _MAX_LABEL and not _CONTROL(joined):
+            if max(map(len, blk), default=0) <= _MAX_LABEL and not _UNWRITABLE(joined):
                 continue
             for lab in blk:
                 for code, what, bad in (
                     ("label_length", "longer than 64 characters", len(lab) > _MAX_LABEL),
                     ("label_control", "holds a control character", _CONTROL(lab)),
+                    ("lone_surrogate", "holds a lone surrogate", _SURROGATE(lab)),
                 ):
                     if bad:
                         where, text = f"{side}.blocks[{i}]", f"label {lab!r} {what}"
@@ -218,7 +228,7 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
         )
 
     if spec.kind is ModelKind.FCM:
-        if m.n_rows != m.n_cols:
+        if not structure.square:
             out.append(
                 Diagnostic(
                     "fcm_square",
@@ -226,7 +236,7 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                     f"fcm needs a square matrix, got {m.n_rows}x{m.n_cols}",
                 )
             )
-        if not (m.row_partition.trivial and m.col_partition.trivial):
+        if structure.kind is not Kind.SIMPLE:
             out.append(
                 Diagnostic(
                     "fcm_partitions",
@@ -243,7 +253,7 @@ def validate_model(spec: ModelSpec) -> tuple[Diagnostic, ...]:
                 )
             )
     else:
-        expected = _RELATIONAL_KIND[classify(m).kind]
+        expected = _RELATIONAL_KIND[structure.kind]
         if spec.kind is not expected:
             out.append(
                 Diagnostic(

@@ -43,6 +43,19 @@ __all__ = [
 _F32_EXACT = 2**24
 
 
+def _integers(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as ints; any value that is not equal to its ``int()``
+    raises :class:`PartitionError`."""
+    given = tuple(values)
+    try:
+        ints = tuple(int(v) for v in given)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != given:
+        raise PartitionError(f"{what} {given!r} are not all integers")
+    return ints
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered block widths of one axis.
@@ -54,12 +67,9 @@ class Partition:
     sizes: tuple[int, ...]
 
     def __init__(self, sizes: Iterable[int]):
-        given = tuple(sizes)
-        sizes = tuple(int(s) for s in given)
+        sizes = _integers(sizes, "block sizes")
         if not sizes:
             raise EmptyPartition("a partition needs at least one block")
-        if sizes != given:
-            raise PartitionError(f"block sizes {given!r} are not all integers")
         for s in sizes:
             if s < 1:
                 raise NonPositiveBlock(f"block size {s} is not positive")
@@ -110,9 +120,10 @@ def partition_from_cuts(total: int, cuts: Iterable[int]) -> Partition:
     """Turn sorted interior cut positions into block widths.
 
     Cuts must be strictly inside ``[1, total - 1]`` and strictly increasing.
-    No cuts yields the trivial partition.
+    No cuts yields the trivial partition.  A cut that is not equal to its
+    ``int()`` raises :class:`PartitionError`.
     """
-    cut_list = [int(c) for c in cuts]
+    cut_list = _integers(cuts, "cuts")
     seen: set[int] = set()
     for c in cut_list:
         if not 1 <= c <= total - 1:
@@ -208,11 +219,6 @@ class SuperMatrix:
                 f"matrix has {entries.shape[1]}"
             )
         object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def simple(cls, entries) -> "SuperMatrix":
-        """Wrap a plain grid with trivial partitions."""
-        return partition_matrix(entries)
 
     @property
     def n_rows(self) -> int:

@@ -461,6 +461,76 @@ MUTANTS = (
         "killed",
         "a list grid is copied twice: test_a_list_grid_is_copied_once",
     ),
+    Mutant(
+        "cuts-read-by-int",
+        "src/fuzzymaps/supermatrix.py",
+        'cut_list = _integers(cuts, "cuts")',
+        "cut_list = [int(c) for c in cuts]",
+        ("tests/test_supermatrix.py::TestPartitionFromCuts",),
+        "killed",
+        "the cut 2.5 is read as 2: test_cut_that_is_not_an_integer[2.5]",
+    ),
+    Mutant(
+        "sizes-int-errors-escape",
+        "src/fuzzymaps/supermatrix.py",
+        "except (TypeError, ValueError, OverflowError):",
+        "except OverflowError:",
+        ("tests/test_supermatrix.py::TestPartition",),
+        "killed",
+        "int('a') raises a bare ValueError: "
+        "test_non_integral_sizes_rejected[sizes3]",
+    ),
+    Mutant(
+        "max-steps-not-an-integer-admitted",
+        DYNAMICS,
+        'if not hasattr(type(max_steps), "__index__"):',
+        "if False:",
+        ("tests/test_dynamics.py::TestHiddenPattern",
+         "tests/test_dynamics.py::TestSweep"),
+        "killed",
+        "islice raises its own ValueError on max_steps=2.5: "
+        "test_max_steps_that_is_not_an_integer[2.5]",
+    ),
+    Mutant(
+        "nesting-escapes-as-recursion-error",
+        MODEL_IO,
+        "except RecursionError as e:",
+        "except ZeroDivisionError as e:",
+        ("tests/test_model_io.py::TestParseErrors",),
+        "killed",
+        "a document nested too deeply raises a bare RecursionError: "
+        "test_nested_too_deeply[arrays]",
+    ),
+    Mutant(
+        "block-pass-skips-surrogates",
+        MODELS,
+        '_UNWRITABLE = re.compile("[\\x00-\\x1f\\ud800-\\udfff]")',
+        '_UNWRITABLE = re.compile("[\\x00-\\x1f]")',
+        ("tests/test_model_io.py::TestLoneSurrogates",),
+        "killed",
+        "a block whose only fault is a lone surrogate is never walked: "
+        "test_label_refused",
+    ),
+    Mutant(
+        "label-walk-skips-surrogates",
+        MODELS,
+        '"holds a lone surrogate", _SURROGATE(lab)',
+        '"holds a lone surrogate", False',
+        ("tests/test_model_io.py::TestLoneSurrogates",),
+        "killed",
+        "the walk of a failing block reports no lone surrogate: "
+        "test_label_refused",
+    ),
+    Mutant(
+        "name-pass-skips-surrogates",
+        MODELS,
+        "if _SURROGATE(spec.name):",
+        "if False:",
+        ("tests/test_model_io.py::TestLoneSurrogates",),
+        "killed",
+        "a name holding a lone surrogate passes: "
+        "test_model_name_refused",
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -14,7 +15,9 @@ from fuzzymaps import (
     fixture_text,
     load_fixture,
 )
+from fuzzymaps import cli
 from fuzzymaps.cli import console_main, main
+from fuzzymaps.dynamics import DEFAULT_MAX_STATES
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +31,14 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", "--fixture", "sec_2_5_fcm")
         assert code == 0
         assert "fcm 18x18 ok" in out
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_document_nested_too_deeply(self, capsys, tmp_path, json_flag):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "validate", *json_flag, str(path))
+        assert code == 3
+        assert err == "invalid model: arrays or objects nested too deeply to read\n"
 
     def test_truncated_document(self, capsys, tmp_path):
         doc = json.loads(fixture_text("ex_1_2_2"))
@@ -457,6 +468,11 @@ class TestAttractors:
         assert code == 2 and out == ""
         assert "max-states must be at least 2" in err
 
+    def test_default_limit_is_the_apis(self):
+        args = cli._PARSER.parse_args(["attractors", "--fixture", "sec_2_4"])
+        default = inspect.signature(enumerate_attractors).parameters["state_limit"]
+        assert args.max_states == default.default == DEFAULT_MAX_STATES == 1 << 20
+
     def test_max_states_of_two_is_a_resource_bound(self, capsys):
         # every census has at least 2 seeds, so 2 is the smallest usable limit
         code, out, err = run_cli(
@@ -638,6 +654,29 @@ class TestDot:
         _, out1, _ = run_cli(capsys, "dot", "--fixture", "sec_2_3")
         _, out2, _ = run_cli(capsys, "dot", "--fixture", "sec_2_3")
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dot"],
+            ["run", "--side", "domain", "--on", "1"],
+            ["sweep", "--side", "domain"],
+        ],
+    )
+    def test_lone_surrogate_label_is_invalid_model(self, capsys, tmp_path, argv):
+        doc = json.loads(fixture_text("ex_1_2_1"))
+        doc["domain"]["blocks"][0][0] = "a\ud800"
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(doc))
+        target = tmp_path / "out.txt"
+        for output in ([], ["-o", str(target)]):
+            code, out, err = run_cli(capsys, *argv, str(path), *output)
+            assert code == 3 and out == ""
+            assert err == (
+                "invalid model: lone_surrogate at domain.blocks[0]: label "
+                "'a\\ud800' holds a lone surrogate\n"
+            )
+        assert not target.exists()
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "graph.dot"

@@ -33,6 +33,7 @@ from fuzzymaps import (
     apply_update,
     enumerate_attractors,
     load_fixture,
+    partition_matrix,
     run_hidden_pattern,
     special_product,
     step,
@@ -287,7 +288,7 @@ class TestHiddenPattern:
 
     def test_limit_cycle_ping_pong(self):
         # mutual inhibition flips the pair state each product
-        m = SuperMatrix.simple([[-1, 1], [1, -1]])
+        m = partition_matrix([[-1, 1], [1, -1]])
         seed = seed_state(1, Side.DOMAIN, m.row_partition)
         hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
         assert hp.kind is PatternKind.LIMIT_CYCLE
@@ -296,7 +297,7 @@ class TestHiddenPattern:
         assert states == {bits("11"), bits("10")}
 
     def test_cycle_replays_in_order(self):
-        m = SuperMatrix.simple([[-1, 1], [1, -1]])
+        m = partition_matrix([[-1, 1], [1, -1]])
         seed = seed_state(1, Side.DOMAIN, m.row_partition)
         hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
         for k, (d, _) in enumerate(hp.pair_sequence):
@@ -314,6 +315,18 @@ class TestHiddenPattern:
         with pytest.raises(ValueError):
             run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=1)
 
+    @pytest.mark.parametrize("max_steps", [2.5, float("inf"), 50.0, "50", None])
+    def test_max_steps_that_is_not_an_integer(self, max_steps):
+        seed = seed_state(1, Side.DOMAIN, GROUPS_5X12.row_partition)
+        with pytest.raises(TypeError) as err:
+            run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=max_steps)
+        assert str(err.value) == f"max_steps must be an integer, got {max_steps!r}"
+
+    def test_max_steps_of_any_integer_type(self):
+        seed = seed_state(1, Side.DOMAIN, GROUPS_5X12.row_partition)
+        hp = run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=np.int64(50))
+        assert hp == run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=50)
+
     @pytest.mark.parametrize("sizes", [[4], [2, 3]])  # wrong length, other blocks
     def test_seed_partition_must_match_the_matrix(self, sizes):
         seed = seed_state(1, Side.DOMAIN, Partition(sizes))
@@ -321,16 +334,16 @@ class TestHiddenPattern:
             run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY)
 
     def test_a_limit_cycle_has_no_fixed_pair(self):
-        m = SuperMatrix.simple([[-1, 1], [1, -1]])
+        m = partition_matrix([[-1, 1], [1, -1]])
         seed = seed_state(1, Side.DOMAIN, m.row_partition)
         hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
         with pytest.raises(ValueError, match="not a fixed point"):
             hp.fixed_pair
 
     def test_antisymmetric_two_node_matches_enumeration(self):
-        m = SuperMatrix.simple([[0, 1], [-1, 0]])
+        m = partition_matrix([[0, 1], [-1, 0]])
         census = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
-        assert sum(census.basin_sizes()) == 4
+        assert census.basins.sum() == 4
         for mask in range(4):
             seed = seed_state(mask, Side.DOMAIN, m.row_partition)
             hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
@@ -350,12 +363,18 @@ class TestSweep:
             assert again.pair_sequence == hp.pair_sequence
 
     def test_one_by_one_zero_model(self):
-        m = SuperMatrix.simple([[0.0]])
+        m = partition_matrix([[0.0]])
         results = sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY)
         ((_, hp),) = results
         d, r = hp.fixed_pair
         assert d.bits == (1,)  # the seed stays forced on
         assert r.bits == (0,)  # nothing propagates
+
+    @pytest.mark.parametrize("max_steps", [2.5, float("inf"), 50.0, "50", None])
+    def test_max_steps_that_is_not_an_integer(self, max_steps):
+        with pytest.raises(TypeError) as err:
+            sweep_unit_seeds(EXPERTS_12X6, Side.RANGE, GT0_POLICY, max_steps=max_steps)
+        assert str(err.value) == f"max_steps must be an integer, got {max_steps!r}"
 
 
 def _stepped(matrix, seed, policy, one_sided, products):
@@ -480,7 +499,7 @@ class TestEngineCore:
         # a chain lights one more node a round: 398 rounds to its fixed
         # pair; a row keeps only its packed seed-side states
         n = 400
-        m = SuperMatrix.simple(np.eye(n) + np.eye(n, k=-1))
+        m = partition_matrix(np.eye(n) + np.eye(n, k=-1))
         seed = StateVector.from_on_indices([0], Side.DOMAIN, m.row_partition)
         hp, peak = _traced_peak(
             lambda: run_hidden_pattern(m, seed, GT0_POLICY, record_trace=False)
@@ -492,7 +511,7 @@ class TestEngineCore:
     def test_peak_memory_of_a_two_sided_chain_sweep(self):
         # all 200 rows' histories are alive at once, seed side only; the
         # lit run grows both ways until every node is on
-        m = SuperMatrix.simple(np.eye(200) + np.eye(200, k=-1))
+        m = partition_matrix(np.eye(200) + np.eye(200, k=-1))
         rows, peak = _traced_peak(
             lambda: sweep_unit_seeds(m, Side.DOMAIN, GT0_POLICY)
         )
@@ -507,7 +526,7 @@ class TestEngineCore:
         # cycle of period 35; each state becomes its tuple without a list
         # of n ints beside it
         n, rng = 200, random.Random(0)
-        m = SuperMatrix.simple(
+        m = partition_matrix(
             [
                 [
                     rng.choice((-1.0, 1.0)) if i != j and rng.random() < 3 / n else 0.0
@@ -530,7 +549,7 @@ class TestEngineCore:
         # pairs with its across product; from the range side a pair's
         # domain member is the across product of the previous pair's range
         # member
-        m = SuperMatrix.simple(
+        m = partition_matrix(
             np.array([[1, 1, 0, -1], [0, 1, 1, 1], [1, 0, 1, 1]], dtype=float)
         )
         policy = ThresholdPolicy(GT0, GE2)  # across results differ by rule
@@ -595,8 +614,8 @@ class TestExactProduct:
         frm = [[1, 1, 1], [0, 0, 0], [0, 0, 0], [1, 1, 1]]
         never = FirstStepMode.NEVER
         cases = [
-            (SuperMatrix.simple(fcm), True, ThresholdPolicy(rule, rule), 0b0111),
-            (SuperMatrix.simple(frm), False, ThresholdPolicy(rule, GT0), 0b0001),
+            (partition_matrix(fcm), True, ThresholdPolicy(rule, rule), 0b0111),
+            (partition_matrix(frm), False, ThresholdPolicy(rule, GT0), 0b0001),
         ]
         for m, one_sided, policy, mask in cases:
             policy = replace(policy, first_step_mode=never)
@@ -618,7 +637,7 @@ class TestExactProduct:
         ],
     )
     def test_other_maps_keep_the_float64_product(self, entries):
-        m = SuperMatrix.simple(entries)
+        m = partition_matrix(entries)
         assert m._exact32 is None
         policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GE, 1.5))
         for side, one_sided in itertools.product(Side, (False, True)):
@@ -637,7 +656,7 @@ class TestExactProduct:
     def test_a_sum_between_2_23_and_2_24(self):
         # float32 cutoffs are clamped at 2**24: a clamp any lower would put
         # node 1's sum of 2**23 + 5 above the cutoff of 2**23 + 10
-        m = SuperMatrix.simple([[0, 2**23 + 5], [0, 0]])
+        m = partition_matrix([[0, 2**23 + 5], [0, 0]])
         rule = ThresholdRule(Comparator.GT, 2**23 + 10)
         policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
         assert m._exact32 is not None
@@ -653,7 +672,7 @@ class TestExactProduct:
         # 2**18 seeds in chunks of 2**16: each chunk's 0/1 block goes back
         # through the float32 copy, not a float64 cast and product
         rng = np.random.default_rng(18)
-        m = SuperMatrix.simple(rng.choice([-1.0, 0.0, 1.0], size=(18, 20)))
+        m = partition_matrix(rng.choice([-1.0, 0.0, 1.0], size=(18, 20)))
         policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GT, 1))
         census, peak = _traced_peak(
             lambda: enumerate_attractors(m, Side.DOMAIN, policy, state_limit=1 << 18)
@@ -665,7 +684,7 @@ class TestExactProduct:
         # the same census: its low-bit sums stay float32 and are thresholded
         # against shifted cutoffs, with no float64 buffer of added sums
         rng = np.random.default_rng(18)
-        m = SuperMatrix.simple(rng.choice([-1.0, 0.0, 1.0], size=(18, 20)))
+        m = partition_matrix(rng.choice([-1.0, 0.0, 1.0], size=(18, 20)))
         policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GT, 1))
         census, peak = _traced_peak(
             lambda: enumerate_attractors(m, Side.DOMAIN, policy, state_limit=1 << 18)
@@ -691,7 +710,7 @@ class TestExactProduct:
         w = rng.integers(-1, 2, size=(17, 17)).astype(float)
         w[:16, 0] = sign * 798_000
         w[16, 0] = -sign * 4_000_000
-        m = SuperMatrix.simple(w)
+        m = partition_matrix(w)
         assert m._exact32 is not None and np.abs(w).sum() > 2**24 - 10_000
         shifted = float(dynamics._threshold(rule, True)[1]) - w[16, 0]
         assert abs(shifted) == 16_800_001 and np.float32(shifted) != shifted
@@ -711,7 +730,7 @@ class TestExactProduct:
 def _path(n: int, backward: bool = False) -> SuperMatrix:
     """A one-sided chain: node i excites i + 1 (i - 1 when ``backward``)."""
     entries = np.eye(n, k=-1 if backward else 1)
-    return SuperMatrix.simple(entries)
+    return partition_matrix(entries)
 
 
 class TestLockstepSweep:
@@ -793,8 +812,8 @@ def _assert_census_matches_engine(m, side, policy, one_sided, masks, label):
     census = enumerate_attractors(m, side, policy, one_sided=one_sided)
     part = m.row_partition if side is Side.DOMAIN else m.col_partition
     counts = np.bincount(census.assignment)
-    assert census.basin_sizes() == tuple(counts.tolist())
-    assert sum(census.basin_sizes()) == 1 << part.total
+    assert census.basins.tolist() == counts.tolist()
+    assert census.basins.sum() == 1 << part.total
     # attractor k is first reached by a smaller seed than k + 1
     _, first = np.unique(census.assignment, return_index=True)
     assert len(first) == len(census.attractors)
@@ -817,12 +836,12 @@ class TestEnumeration:
     def test_basins_sum_expert_model(self):
         census = enumerate_attractors(EXPERTS_12X6, Side.RANGE, GT0_POLICY)
         assert census.n_seeds == 64
-        assert sum(census.basin_sizes()) == 64
+        assert census.basins.sum() == 64
 
     def test_zero_matrix(self):
-        m = SuperMatrix.simple(np.zeros((3, 4)))
+        m = partition_matrix(np.zeros((3, 4)))
         census = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY)
-        assert sum(census.basin_sizes()) == 8
+        assert census.basins.sum() == 8
         for mask in range(8):
             a = census.attractor_of(mask)
             assert a.period == 1
@@ -840,7 +859,7 @@ class TestEnumeration:
     def test_cycles_sharing_a_minimum_stay_apart(self):
         # two period-2 cycles pass through state 11; grouping seeds by the
         # cycle minimum alone would merge them into one attractor
-        m = SuperMatrix.simple(
+        m = partition_matrix(
             [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
         )
         census = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
@@ -861,7 +880,7 @@ class TestEnumeration:
             one_sided = trial % 2 == 0
             rows = int(rng.integers(2, 7))
             cols = rows if one_sided else int(rng.integers(2, 7))
-            m = SuperMatrix.simple(
+            m = partition_matrix(
                 rng.integers(-1, 2, size=(rows, cols)).astype(float)
             )
             policy = ThresholdPolicy(
@@ -881,7 +900,7 @@ class TestEnumeration:
         # seeds all have a bit above 15 set
         rng = np.random.default_rng(1718)
         for one_sided, shape in ((True, (18, 18)), (False, (17, 18))):
-            m = SuperMatrix.simple(rng.integers(-1, 2, size=shape).astype(float))
+            m = partition_matrix(rng.integers(-1, 2, size=shape).astype(float))
             # a larger first-step cutoff extinguishes every unit seed's row
             policy = ThresholdPolicy(_random_rule(rng), _random_rule(rng), GT0, mode)
             sides = [Side.DOMAIN] if one_sided else [Side.DOMAIN, Side.RANGE]
@@ -934,7 +953,7 @@ class TestEnumeration:
         # and the next is the seed again; forcing keeps the full seed fixed
         # on any map, so it alone resolves at the first check
         calls = self._settle_calls(monkeypatch)
-        m = SuperMatrix.simple(-np.eye(17))
+        m = partition_matrix(-np.eye(17))
         ge0 = ThresholdRule(Comparator.GE, 0)
         policy = ThresholdPolicy(ge0, ge0, first_step_mode=FirstStepMode.NEVER)
         census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
@@ -987,7 +1006,7 @@ class TestEnumeration:
         # every state; here the period-2 cycle is the second attractor by
         # smallest seed, ahead of ten fixed points, and the fixed states are
         # not in increasing order, so numbering by key would differ
-        m = SuperMatrix.simple(
+        m = partition_matrix(
             [
                 [0, 1, -1, 1, -1],
                 [0, 1, 0, 0, -1],
@@ -1032,7 +1051,7 @@ class TestEnumeration:
                 super().__init__(*args)
 
         monkeypatch.setattr(dynamics, "Attractor", Counted)
-        m = SuperMatrix.simple(
+        m = partition_matrix(
             [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
         )
         census = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
@@ -1066,12 +1085,12 @@ class TestEnumeration:
     def test_census_equality_and_hash_by_value(self):
         # a generated dataclass __eq__ would compare the ndarray columns
         # inside a tuple and raise ValueError here
-        m = SuperMatrix.simple([[0, 1], [-1, 0]])
+        m = partition_matrix([[0, 1], [-1, 0]])
         a = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
         b = enumerate_attractors(m, Side.DOMAIN, GT0_POLICY, one_sided=True)
         assert a is not b and a == b and hash(a) == hash(b)
         assert a != a.attractors
-        m4 = SuperMatrix.simple(
+        m4 = partition_matrix(
             [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
         )
         c = enumerate_attractors(m4, Side.DOMAIN, GT0_POLICY, one_sided=True)
@@ -1110,7 +1129,7 @@ class TestEnumeration:
         ids=["run", "census"],
     )
     def test_one_sided_needs_a_square_matrix(self, call, message):
-        m = SuperMatrix.simple([[1, 0, 1], [0, 1, 1]])
+        m = partition_matrix([[1, 0, 1], [0, 1, 1]])
         with pytest.raises(DimensionMismatch) as err:
             call(m)
         assert str(err.value) == message
@@ -1119,7 +1138,7 @@ class TestEnumeration:
         # 17 fuzzy nodes: two table chunks of 2**16 masks, each from the
         # sums over the low 16 seed bits plus those over bit 16
         rng = np.random.default_rng(1717)
-        m = SuperMatrix.simple(rng.choice(FUZZY, size=(17, 17)))
+        m = partition_matrix(rng.choice(FUZZY, size=(17, 17)))
         policy = ThresholdPolicy(
             ThresholdRule(Comparator.GT, 0.1 + 0.2),
             ThresholdRule(Comparator.GT, 0.1 + 0.2),
@@ -1164,7 +1183,7 @@ class TestEnumeration:
         # 23.4 MiB: seeds on limit cycles are grouped by their cycle's
         # minimum state and AND, with no (period x members) block of states
         w = np.random.default_rng(5).choice([-1, 0, 1], size=(20, 20), p=[.4, .2, .4])
-        m = SuperMatrix.simple(w.astype(float))
+        m = partition_matrix(w.astype(float))
         policy = ThresholdPolicy(GT0, GT0, first_step_mode=FirstStepMode.NEVER)
         census, peak = _traced_peak(
             lambda: enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
@@ -1192,7 +1211,7 @@ class TestEnumeration:
         rule = ThresholdRule(Comparator.GE, 1.2000000000000002)
         policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
         census = enumerate_attractors(
-            SuperMatrix.simple(w), Side.DOMAIN, policy, one_sided=True
+            partition_matrix(w), Side.DOMAIN, policy, one_sided=True
         )
         cutoff, seed = Fraction(rule.cutoff), 49
 
@@ -1216,7 +1235,7 @@ class TestEnumeration:
         script = (
             "import contextlib, io, sys\n"
             "import fuzzymaps, fuzzymaps.cli\n"
-            "m = fuzzymaps.SuperMatrix.simple("
+            "m = fuzzymaps.partition_matrix("
             "[[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]])\n"
             "rule = fuzzymaps.ThresholdRule('gt', 0)\n"
             "policy = fuzzymaps.ThresholdPolicy(rule, rule)\n"
@@ -1320,14 +1339,14 @@ def census_cases(draw):
         draw(rule), draw(rule), draw(rule), draw(st.sampled_from(list(FirstStepMode)))
     )
     side = draw(st.sampled_from(list(Side)))
-    m = SuperMatrix.simple(np.array(entries).reshape(rows, cols))
+    m = partition_matrix(np.array(entries).reshape(rows, cols))
     return m, side, policy, one_sided
 
 
 @given(census_cases())
 @example(
     (
-        SuperMatrix.simple(
+        partition_matrix(
             [[0, -1, 0, 1], [0, -1, 0, -1], [1, 1, -1, 0], [1, 1, 1, 0]]
         ),
         Side.DOMAIN,
@@ -1466,7 +1485,7 @@ def test_two_sided_energy_never_rises_on_integer_maps(data):
     entries = data.draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
                                  max_size=rows * cols))
     grid = np.array(entries, float).reshape(rows, cols)
-    m = SuperMatrix.simple(grid)
+    m = partition_matrix(grid)
     cutoff = st.integers(-3, 3).flatmap(lambda k: st.sampled_from((k, k + 0.5)))
     rule = st.builds(ThresholdRule, st.sampled_from(list(Comparator)), cutoff)
     policy = ThresholdPolicy(
@@ -1540,7 +1559,7 @@ def test_pair_soundness_replays_on_random_models(rng_seed):
     member yields the next pair's domain member (seed forcing included)."""
     rng = np.random.default_rng(rng_seed)
     rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-    m = SuperMatrix.simple(rng.integers(-2, 3, size=(rows, cols)).astype(float))
+    m = partition_matrix(rng.integers(-2, 3, size=(rows, cols)).astype(float))
     policy = ThresholdPolicy(
         ThresholdRule(Comparator.GT, int(rng.integers(0, 2))),
         ThresholdRule(Comparator.GT, int(rng.integers(0, 2))),
@@ -1561,7 +1580,7 @@ def test_pair_soundness_replays_on_random_models(rng_seed):
 @settings(max_examples=60, deadline=None)
 def test_termination_and_determinism_random_8_node(seed_mask, rng_seed):
     rng = np.random.default_rng(rng_seed)
-    m = SuperMatrix.simple(rng.integers(-1, 2, size=(8, 8)).astype(float))
+    m = partition_matrix(rng.integers(-1, 2, size=(8, 8)).astype(float))
     policy = ThresholdPolicy(
         ThresholdRule(Comparator.GT, int(rng.integers(0, 3))),
         ThresholdRule(Comparator.GT, int(rng.integers(0, 3))),

@@ -22,6 +22,7 @@ from fuzzymaps import (
     fixture_text,
     load_fixture,
     parse_model,
+    partition_matrix,
     report_to_text,
     run_model,
     seed_from_labels,
@@ -87,6 +88,24 @@ class TestParseErrors:
     def test_not_json(self):
         with pytest.raises(ModelSyntaxError):
             parse_model("{ not json")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"a": ' * 100_000 + "1" + "}" * 100_000,
+            fixture_text("ex_1_2_1")[:-2]
+            + ', "description": '
+            + "[" * 5000
+            + "]" * 5000
+            + "}",
+        ],
+        ids=["arrays", "objects", "in-a-field"],
+    )
+    def test_nested_too_deeply(self, text):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(text)
+        assert str(err.value) == "arrays or objects nested too deeply to read"
 
     def test_wrong_row_width_names_row(self):
         doc = json.loads(fixture_text("ex_1_2_2"))
@@ -199,7 +218,13 @@ class TestReports:
         spec = load_fixture("ex_1_2_1")
         seed = seed_from_labels(spec, {"a1"}, Side.DOMAIN)
         pattern = run_model(spec, seed)
-        return build_report(spec, seed, pattern, include_trace=include_trace)
+        return build_report(spec, seed, pattern, spec.policy, include_trace=include_trace)
+
+    def test_a_report_needs_a_policy(self):
+        spec = load_fixture("ex_1_2_1")
+        seed = seed_from_labels(spec, {"a1"}, Side.DOMAIN)
+        with pytest.raises(TypeError):
+            build_report(spec, seed, run_model(spec, seed))
 
     def test_pair_states_match_golden(self):
         report = self.run_report()
@@ -229,12 +254,12 @@ class TestReports:
             kind="fcm",
             domain_labels=(("a", "b"),),
             range_labels=(("a", "b"),),
-            matrix=SuperMatrix.simple([[-1, 1], [1, -1]]),
+            matrix=partition_matrix([[-1, 1], [1, -1]]),
             entry_domain="signed_ternary",
             policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("gt", 0)),
         )
         seed = seed_from_labels(spec, {"a"}, Side.DOMAIN)
-        report = build_report(spec, seed, run_model(spec, seed))
+        report = build_report(spec, seed, run_model(spec, seed), spec.policy)
         assert report.pattern.period == 2
         assert report_to_text(report) == (
             "model: ping\n"
@@ -449,7 +474,7 @@ def test_serialize_refuses_an_invalid_spec():
         kind="frm",
         domain_labels=(("x",),),
         range_labels=(("y", "z"),),
-        matrix=SuperMatrix.simple([[float("inf"), 1.0]]),
+        matrix=partition_matrix([[float("inf"), 1.0]]),
         entry_domain="unrestricted",
         policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("gt", 0)),
     )
@@ -466,7 +491,7 @@ class TestGeneratedRoundTrip:
             kind="frm",
             domain_labels=(("x",),),
             range_labels=(("y",),),
-            matrix=SuperMatrix.simple([[1.0]]),
+            matrix=partition_matrix([[1.0]]),
             entry_domain="unrestricted",
             policy=policy,
         )
@@ -494,7 +519,7 @@ class TestGeneratedRoundTrip:
             kind="frm",
             domain_labels=(tuple(f"x{i}" for i in range(n_rows)),),
             range_labels=(tuple(f"y{j}" for j in range(n_cols)),),
-            matrix=SuperMatrix.simple(entries),
+            matrix=partition_matrix(entries),
             entry_domain="unrestricted",
             policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("ge", 0.5)),
         )
@@ -828,6 +853,56 @@ class TestControlCharacters:
         assert f'label="a{char}b"' in emit_dot(spec)
 
 
+class TestLoneSurrogates:
+    """No UTF-8 writer can encode a lone surrogate, which a JSON escape such
+    as \\ud800 can put in a name or label."""
+
+    @pytest.mark.parametrize("char", ["\ud800", "\udbff", "\udc00", "\udfff"])
+    def test_label_refused(self, char):
+        label = f"a{char}b"
+
+        def edit(doc):
+            doc["range"]["blocks"][1][2] = label
+
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == (
+            f"lone_surrogate at range.blocks[1]: label {label!r} holds a lone "
+            "surrogate"
+        )
+
+    def test_model_name_refused(self):
+        def edit(doc):
+            doc["name"] = "n\udc80m"
+
+        with pytest.raises(ModelValidationError) as err:
+            parse_model(_edited(edit))
+        assert str(err.value) == "lone_surrogate at name: must not hold a lone surrogate"
+
+    def test_with_a_control_character(self):
+        spec = _one_by_one(name="\x01\ud800", label="\ud800\x01")
+        assert [str(d) for d in validate_model(spec)] == [
+            "name_control at name: must not hold a control character",
+            "lone_surrogate at name: must not hold a lone surrogate",
+            "label_control at domain.blocks[0]: label '\\ud800\\x01' holds a "
+            "control character",
+            "lone_surrogate at domain.blocks[0]: label '\\ud800\\x01' holds a "
+            "lone surrogate",
+        ]
+
+    def test_surrogate_pair_kept(self):
+        # json.dumps writes U+1F600 as the escaped pair \\ud83d\\ude00
+        def edit(doc):
+            doc["name"] = "n\U0001f600"
+            doc["domain"]["blocks"][0][0] = "a\U0001f600"
+
+        text = _edited(edit)
+        assert "\\ud83d\\ude00" in text
+        spec = parse_model(text)
+        assert 'label="a\U0001f600"' in emit_dot(spec)
+        emit_dot(spec).encode("utf-8")
+
+
 def _one_by_one(name: str = "one", label: str = "x") -> ModelSpec:
     """A 1x1 ``frm`` spec built in code, with domain label ``label``."""
     return ModelSpec(
@@ -835,7 +910,7 @@ def _one_by_one(name: str = "one", label: str = "x") -> ModelSpec:
         kind="frm",
         domain_labels=((label,),),
         range_labels=(("y",),),
-        matrix=SuperMatrix.simple([[1.0]]),
+        matrix=partition_matrix([[1.0]]),
         entry_domain="signed_ternary",
         policy=ThresholdPolicy(ThresholdRule("gt", 0), ThresholdRule("gt", 0)),
     )

@@ -49,7 +49,7 @@ def tiny_spec(**kw):
         kind=ModelKind.FRM,
         domain_labels=(("x",),),
         range_labels=(("y",),),
-        matrix=SuperMatrix.simple([[1.0]]),
+        matrix=partition_matrix([[1.0]]),
         entry_domain=EntryDomain.SIGNED_TERNARY,
         policy=ThresholdPolicy(
             ThresholdRule(Comparator.GT, 0), ThresholdRule(Comparator.GT, 0)
@@ -102,7 +102,7 @@ class TestValidate:
     def test_empty_label_block_of_a_code_built_spec(self):
         bad = tiny_spec(
             domain_labels=((),),
-            matrix=SuperMatrix.simple([[1.0]] * 6),
+            matrix=partition_matrix([[1.0]] * 6),
         )
         assert [str(d) for d in validate_model(bad)] == [
             "label_block_size at domain.blocks[0]: 0 labels against block width 6"
@@ -116,13 +116,13 @@ class TestValidate:
 
     def test_duplicate_labels(self):
         bad = tiny_spec(
-            matrix=SuperMatrix.simple([[1.0, 0.0]]),
+            matrix=partition_matrix([[1.0, 0.0]]),
             range_labels=(("y", "y"),),
         )
         assert any(d.code == "duplicate_labels" for d in validate_model(bad))
 
     def test_entry_domain_cell_reported(self):
-        bad = tiny_spec(matrix=SuperMatrix.simple([[2.0]]))
+        bad = tiny_spec(matrix=partition_matrix([[2.0]]))
         diags = validate_model(bad)
         assert any(
             d.code == "entry_domain" and d.location == "matrix[0][0]"
@@ -152,7 +152,7 @@ class TestValidate:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_entry_refused_in_every_domain(self, domain, value):
         bad = tiny_spec(
-            matrix=SuperMatrix.simple([[1.0, value]]),
+            matrix=partition_matrix([[1.0, value]]),
             range_labels=(("y", "z"),),
             entry_domain=domain,
         )
@@ -168,7 +168,7 @@ class TestValidate:
         ],
     )
     def test_entry_named_by_its_exact_value(self, domain, value, text):
-        bad = tiny_spec(matrix=SuperMatrix.simple([[value]]), entry_domain=domain)
+        bad = tiny_spec(matrix=partition_matrix([[value]]), entry_domain=domain)
         assert [str(d) for d in validate_model(bad)] == [
             f"entry_domain at matrix[0][0]: entry {text} outside {domain.value}"
         ]
@@ -265,7 +265,7 @@ class TestNameForms:
             kind=ModelKind.FCM,
             domain_labels=(("2", "1.1", "x"),),
             range_labels=(("2", "1.1", "x"),),
-            matrix=SuperMatrix.simple(np.zeros((3, 3))),
+            matrix=partition_matrix(np.zeros((3, 3))),
         )
         assert seed_from_labels(spec, ["2"], Side.DOMAIN).on_indices == (0,)
         assert seed_from_labels(spec, ["1.1"], Side.DOMAIN).on_indices == (1,)
@@ -328,7 +328,7 @@ class TestRunModel:
         assert r.bits == bits("0000 10000 00000")
 
     def test_invalid_spec_refused(self):
-        bad = tiny_spec(matrix=SuperMatrix.simple([[2.0]]))
+        bad = tiny_spec(matrix=partition_matrix([[2.0]]))
         seed = StateVector((1,), Side.DOMAIN, Partition([1]))
         with pytest.raises(ModelValidationError):
             run_model(bad, seed)
@@ -348,7 +348,7 @@ class TestRunModel:
         run_model(spec, seed)
         run_model(spec, seed, replace(spec.policy, first_step_mode="never"))
         assert calls == ["sec_2_4"]
-        bad = tiny_spec(matrix=SuperMatrix.simple([[2.0]]))
+        bad = tiny_spec(matrix=partition_matrix([[2.0]]))
         seed = StateVector((1,), Side.DOMAIN, Partition([1]))
         for _ in range(2):
             with pytest.raises(ModelValidationError, match=r"matrix\[0\]\[0\]"):

@@ -14,6 +14,7 @@ from fuzzymaps import (
     check_entry_domain,
     classify,
     load_fixture,
+    partition_from_cuts,
     partition_matrix,
 )
 from fuzzymaps.errors import (
@@ -118,7 +119,10 @@ class TestPartition:
         with pytest.raises(NonPositiveBlock):
             Partition([2, 0, 1])
 
-    @pytest.mark.parametrize("sizes", [[2.7], [3, 0.5], ["2"]])
+    # int() raises ValueError, TypeError or OverflowError on the last four
+    @pytest.mark.parametrize(
+        "sizes", [[2.7], [3, 0.5], ["2"], ["a"], [2, None], [float("inf")], [float("nan")]]
+    )
     def test_non_integral_sizes_rejected(self, sizes):
         with pytest.raises(PartitionError, match="not all integers"):
             Partition(sizes)
@@ -126,6 +130,22 @@ class TestPartition:
     def test_integral_sizes_of_any_number_type(self):
         p = Partition([2.0, np.int64(3)])
         assert p.sizes == (2, 3) and all(type(s) is int for s in p.sizes)
+
+
+class TestPartitionFromCuts:
+    """A cut is accepted only if it equals its int(), as a block size is."""
+
+    @pytest.mark.parametrize("cut", [2.5, "2", "a", None, float("inf")])
+    def test_cut_that_is_not_an_integer(self, cut):
+        with pytest.raises(PartitionError) as err:
+            partition_from_cuts(5, [1, cut])
+        assert str(err.value) == f"cuts {(1, cut)!r} are not all integers"
+        with pytest.raises(PartitionError):
+            partition_matrix(GRID_4X6, col_cuts=[cut])
+
+    def test_integral_cuts_of_any_number_type(self):
+        assert partition_from_cuts(5, [2.0, np.int64(4)]).sizes == (2, 2, 1)
+        assert partition_from_cuts(5, iter([3])).sizes == (3, 2)
 
 
 class TestPartitionMatrix:
@@ -157,9 +177,9 @@ class TestPartitionMatrix:
             partition_matrix(GRID_4X6, col_cuts=[2, 2])
 
     @pytest.mark.parametrize("entries", [[1.0, 2.0], 3.0])
-    def test_simple_refuses_a_grid_that_is_not_2d(self, entries):
+    def test_refuses_a_grid_that_is_not_2d(self, entries):
         with pytest.raises(DimensionMismatch) as err:
-            SuperMatrix.simple(entries)
+            partition_matrix(entries)
         assert str(err.value) == "matrix entries must be two-dimensional"
 
     def test_ragged_grid_refused(self):
@@ -193,7 +213,7 @@ class TestBlocks:
                 assert m.block(i, j).shape == (h, w)
 
     def test_whole_grid_single_block(self):
-        m = SuperMatrix.simple(GRID_4X6)
+        m = partition_matrix(GRID_4X6)
         assert np.array_equal(m.block(0, 0), np.array(GRID_4X6, float))
 
     def test_out_of_range(self):
@@ -284,10 +304,6 @@ class TestClassify:
         assert k.kind is Kind.GENERAL_SUPER
         assert not k.square and not k.perfect_square
 
-    def test_trivial_simple(self):
-        m = SuperMatrix.simple(GRID_4X6)
-        assert classify(m).kind is Kind.SIMPLE
-
     def test_pure_function_of_partitions(self):
         rng = np.random.default_rng(3)
         rp, cp = Partition([2, 3]), Partition([1, 4])
@@ -311,17 +327,17 @@ class TestEntryDomain:
         assert check_entry_domain(m, EntryDomain.SIGNED_TERNARY) == []
 
     def test_signed_unit_violation_located(self):
-        m = SuperMatrix.simple([[0.5, 1.5]])
+        m = partition_matrix([[0.5, 1.5]])
         assert check_entry_domain(m, EntryDomain.SIGNED_UNIT) == [(0, 1, 1.5)]
 
     def test_unrestricted(self):
-        m = SuperMatrix.simple([[1e9, -42.5]])
+        m = partition_matrix([[1e9, -42.5]])
         assert check_entry_domain(m, EntryDomain.UNRESTRICTED) == []
 
     @pytest.mark.parametrize("domain", list(EntryDomain))
     def test_non_finite_cells_in_row_major_order(self, domain):
         nan, inf = float("nan"), float("inf")
-        m = SuperMatrix.simple([[0.0, inf], [-inf, 1.0], [0.0, nan]])
+        m = partition_matrix([[0.0, inf], [-inf, 1.0], [0.0, nan]])
         got = check_entry_domain(m, domain)
         assert [(i, j) for i, j, _ in got] == [(0, 1), (1, 0), (2, 1)]
         assert got[0][2] == inf and got[1][2] == -inf and np.isnan(got[2][2])
@@ -371,7 +387,7 @@ class TestValidation:
     def test_exact_copy_is_64_byte_aligned_and_read_only(self, shape):
         # the copy's offset would otherwise move with unrelated allocations
         entries = np.arange(shape[0] * shape[1], dtype=float).reshape(shape) % 7 - 3
-        m = SuperMatrix.simple(entries)
+        m = partition_matrix(entries)
         exact = m._exact32
         assert exact.ctypes.data % 64 == 0
         assert exact.dtype == np.float32 and exact.flags.c_contiguous
