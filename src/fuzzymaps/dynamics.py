@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -295,14 +297,17 @@ class HiddenPattern:
     range member, and one backward product (with seed forcing) yields the
     next pair's domain member.  One-sided runs store the same state in both
     slots.  ``steps_to_enter`` counts full rounds before the cycle's first
-    state appears.
+    state appears.  ``trace``, when the run recorded one, holds a
+    :class:`StepRecord` per product in a read-only sequence that builds
+    each record as it is read; it equals, and hashes as, the tuple of its
+    records.
     """
 
     kind: PatternKind
     period: int
     pair_sequence: tuple[tuple[StateVector, StateVector], ...]
     steps_to_enter: int
-    trace: Optional[tuple[StepRecord, ...]] = None
+    trace: Optional[Sequence[StepRecord]] = None
 
     @property
     def fixed_pair(self) -> tuple[StateVector, StateVector]:
@@ -442,7 +447,9 @@ def run_hidden_pattern(
     thresholded by a different rule, so only later states are guaranteed
     to lie on the stationary map.  Recurrence at the immediately preceding
     visit is a fixed point, any longer gap a limit cycle.  Every product is
-    the one :func:`step` computes; the trace holds its records.
+    the one :func:`step` computes.  With ``record_trace``, the pattern's
+    trace keeps each product's arrays and builds its :class:`StepRecord`
+    only when read.
     """
     _check_run(matrix, seed, max_steps, one_sided)
     (pattern,) = _run(
@@ -505,8 +512,9 @@ def _run(
     seen: list[dict[bytes, None]] = [{} for _ in rows]
     trace: list = []  # per product, (produced, rule, raw, bits, state)
     state = seeds
+    # no run reaches sys.maxsize products, the most islice takes as a stop
     for product, produced, rule, compare, cutoff, forced in itertools.islice(
-        schedule, max_steps
+        schedule, min(max_steps, sys.maxsize)
     ):
         raw = product(state)
         bits = compare(raw, cutoff)
@@ -623,7 +631,7 @@ def _patterns(
                 period=period,
                 pair_sequence=tuple(zip(d, r)),
                 steps_to_enter=j,
-                trace=_records(trace) if trace else None,
+                trace=_Trace(trace) if trace else None,
             )
         )
     return patterns
@@ -634,20 +642,58 @@ def _vectors(states: np.ndarray, side: Side, part: Partition) -> list[StateVecto
     return [StateVector._trusted(tuple(r.tobytes()), side, part) for r in states]
 
 
-def _records(trace: list) -> tuple[StepRecord, ...]:
-    """The record of every product so far of a block of one row."""
-    return tuple(
-        _filled(
-            StepRecord,
-            step_index=k,
-            produced_side=produced,
-            raw=tuple(raw[0].tolist()),
-            thresholded=tuple(bits[0].tobytes()),
-            after_update=tuple(state[0].tobytes()),
-            rule_applied=rule,
-        )
-        for k, (produced, rule, raw, bits, state) in enumerate(trace, 1)
+def _record(k: int, produced, rule, raw, bits, state) -> StepRecord:
+    """The record of product ``k`` of a block of one row, from its (1 x n)
+    arrays."""
+    return _filled(
+        StepRecord,
+        step_index=k,
+        produced_side=produced,
+        raw=tuple(raw.tolist()[0]),
+        thresholded=tuple(bits.tobytes()),
+        after_update=tuple(state.tobytes()),
+        rule_applied=rule,
     )
+
+
+class _Trace(Sequence):
+    """Read-only sequence view of a traced run's records.
+
+    Holds, per product, the ``(produced, rule, raw, bits, state)`` that the
+    engine kept for its block of one row; reading an index or iterating
+    builds the records, numbered from 1.  Equality and hash are those of
+    the tuple of records, so a view equals another view or a tuple of
+    equal records.
+    """
+
+    __slots__ = ("_products",)
+
+    def __init__(self, products: list):
+        self._products = products
+
+    def __len__(self) -> int:
+        return len(self._products)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        k = range(len(self))[k]  # negative indices, IndexError past the end
+        return _record(k + 1, *self._products[k])
+
+    def __iter__(self):
+        for k, product in enumerate(self._products, 1):
+            yield _record(k, *product)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Trace, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"_Trace(<{len(self)} products>)"
 
 
 def sweep_unit_seeds(

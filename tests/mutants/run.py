@@ -531,6 +531,59 @@ MUTANTS = (
         "a name holding a lone surrogate passes: "
         "test_model_name_refused",
     ),
+    Mutant(
+        "max-steps-past-sys-maxsize",
+        DYNAMICS,
+        "schedule, min(max_steps, sys.maxsize)",
+        "schedule, max_steps",
+        ("tests/test_dynamics.py::TestHiddenPattern",),
+        "killed",
+        "islice refuses a stop above sys.maxsize: "
+        "test_max_steps_above_any_run[9223372036854775808]",
+    ),
+    Mutant(
+        "trace-step-index-from-0",
+        DYNAMICS,
+        "for k, product in enumerate(self._products, 1):",
+        "for k, product in enumerate(self._products):",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_trace_equals_stepped_records_on_fuzzy_entries",),
+        "killed",
+        "iterated records count products from 0: "
+        "test_trace_equals_stepped_records_on_fuzzy_entries",
+    ),
+    Mutant(
+        "trace-thresholded-after-forcing",
+        DYNAMICS,
+        "thresholded=tuple(bits.tobytes()),",
+        "thresholded=tuple(state.tobytes()),",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_trace_equals_stepped_records_on_fuzzy_entries",),
+        "killed",
+        "a record's thresholded bits include the forced seed: "
+        "test_trace_equals_stepped_records_on_fuzzy_entries",
+    ),
+    Mutant(
+        "trace-eq-on-lengths-only",
+        DYNAMICS,
+        "return len(self) == len(other) and all(map(operator.eq, self, other))",
+        "return len(self) == len(other)",
+        ("tests/test_dynamics.py::TestTrace",),
+        "killed",
+        "two traces of ten products compare equal: "
+        "test_traces_of_one_length_differ",
+    ),
+    Mutant(
+        "trace-iter-drops-last-step",
+        DYNAMICS,
+        "for k, product in enumerate(self._products, 1):",
+        "for k, product in enumerate(self._products[:-1], 1):",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_trace_equals_stepped_records_on_fuzzy_entries",),
+        "killed",
+        "equality over the shorter iteration still holds, the tuple of the "
+        "records does not: test_trace_equals_stepped_records_on_fuzzy_entries",
+    ),
 )
 
 

@@ -283,6 +283,12 @@ class TestRun:
         assert code == 2 and out == ""
         assert "max-steps must be at least 2" in err
 
+    def test_max_steps_above_any_run(self, capsys):
+        args = ("run", "--fixture", "sec_2_5_fcm", "--on", "R1", "--json")
+        expected = run_cli(capsys, *args)
+        got = run_cli(capsys, *args, "--max-steps", "100000000000000000000")
+        assert got == expected and expected[0] == 0
+
     def test_step_limit_is_resource_bound(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -424,6 +430,12 @@ class TestSweep:
             capsys, "sweep", "--fixture", "sec_2_4", "--side", "domain", "--json"
         )
         assert out1 == out2
+
+    def test_max_steps_above_any_run(self, capsys):
+        args = ("sweep", "--fixture", "sec_2_5_fcm", "--side", "domain", "--json")
+        expected = run_cli(capsys, *args)
+        got = run_cli(capsys, *args, "--max-steps", "100000000000000000000")
+        assert got == expected and expected[0] == 0
 
     def test_side_required_for_two_sided(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--fixture", "ex_1_2_2")

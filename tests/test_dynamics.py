@@ -25,16 +25,22 @@ from fuzzymaps import (
     PatternKind,
     Side,
     StateVector,
+    StepRecord,
     SuperMatrix,
     SuperVector,
     ThresholdPolicy,
     ThresholdRule,
     apply_threshold,
     apply_update,
+    build_report,
     enumerate_attractors,
     load_fixture,
     partition_matrix,
+    report_to_text,
     run_hidden_pattern,
+    run_model,
+    seed_from_labels,
+    serialize_report,
     special_product,
     step,
     sweep_unit_seeds,
@@ -327,6 +333,12 @@ class TestHiddenPattern:
         hp = run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=np.int64(50))
         assert hp == run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=50)
 
+    @pytest.mark.parametrize("max_steps", [sys.maxsize, sys.maxsize + 1, 10**30])
+    def test_max_steps_above_any_run(self, max_steps):
+        seed = seed_state(1, Side.DOMAIN, GROUPS_5X12.row_partition)
+        hp = run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY, max_steps=max_steps)
+        assert hp == run_hidden_pattern(GROUPS_5X12, seed, GT0_POLICY)
+
     @pytest.mark.parametrize("sizes", [[4], [2, 3]])  # wrong length, other blocks
     def test_seed_partition_must_match_the_matrix(self, sizes):
         seed = seed_state(1, Side.DOMAIN, Partition(sizes))
@@ -376,6 +388,11 @@ class TestSweep:
             sweep_unit_seeds(EXPERTS_12X6, Side.RANGE, GT0_POLICY, max_steps=max_steps)
         assert str(err.value) == f"max_steps must be an integer, got {max_steps!r}"
 
+    @pytest.mark.parametrize("max_steps", [sys.maxsize, sys.maxsize + 1, 10**30])
+    def test_max_steps_above_any_run(self, max_steps):
+        rows = sweep_unit_seeds(EXPERTS_12X6, Side.RANGE, GT0_POLICY, max_steps=max_steps)
+        assert rows == sweep_unit_seeds(EXPERTS_12X6, Side.RANGE, GT0_POLICY)
+
 
 def _stepped(matrix, seed, policy, one_sided, products):
     """The records of ``products`` calls of the public :func:`step`."""
@@ -394,13 +411,88 @@ def _stepped(matrix, seed, policy, one_sided, products):
 
 def _assert_trace_is_stepped(matrix, seed, policy, one_sided):
     hp = run_hidden_pattern(matrix, seed, policy, one_sided=one_sided)
-    assert hp.trace == _stepped(matrix, seed, policy, one_sided, len(hp.trace))
+    trace = hp.trace
+    stepped = _stepped(matrix, seed, policy, one_sided, len(trace))
+    # a read-only sequence that equals, and hashes as, the tuple of records
+    assert trace == stepped and stepped == trace and tuple(trace) == stepped
+    assert hash(trace) == hash(stepped)
+    assert trace[-1] == stepped[-1] and trace[1:-1:2] == stepped[1:-1:2]
+    for k in (len(trace), -len(trace) - 1):
+        with pytest.raises(IndexError):
+            trace[k]
     # the run stops at the first seed-side state seen twice
     seen = [r.after_update for r in hp.trace if r.produced_side is seed.side]
     assert len(set(seen)) == len(seen) - 1
     first = seen.index(seen[-1])
     assert (hp.steps_to_enter, hp.period) == (first, len(seen) - 1 - first)
     return hp
+
+
+class TestTrace:
+    """A traced run keeps its products as the engine's arrays and builds
+    each :class:`StepRecord` as it is read."""
+
+    def test_records_are_built_only_when_read(self, monkeypatch):
+        built = []
+        filled, init = dynamics._filled, StepRecord.__init__
+
+        def spy_filled(cls, **fields):
+            if cls is StepRecord:
+                built.append(fields["step_index"])
+            return filled(cls, **fields)
+
+        def spy_init(record, *args, **kwargs):
+            built.append(None)
+            init(record, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "_filled", spy_filled)
+        monkeypatch.setattr(StepRecord, "__init__", spy_init)
+        spec = load_fixture("sec_2_2")
+        seed = seed_from_labels(spec, ["S4"], Side.RANGE)
+        pattern = run_model(spec, seed)
+        report = build_report(spec, seed, pattern, spec.policy)
+        serialize_report(report)
+        report_to_text(report)
+        trace = pattern.trace
+        assert built == [] and len(trace) > 2
+        trace[-1]
+        assert built == [len(trace)]
+        serialize_report(build_report(spec, seed, pattern, spec.policy, True))
+        assert built == [len(trace), *range(1, len(trace) + 1)]
+
+    def test_memory_held_per_product(self):
+        # the chain lights one more node a product: 200 products at n = 200,
+        # each kept as three 1 x 200 arrays, not as tuples of 200 numbers
+        m = partition_matrix(np.eye(200) + np.eye(200, k=1))
+        seed = StateVector.from_on_indices([0], Side.DOMAIN, m.row_partition)
+        run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)  # float32 copy
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hp = run_hidden_pattern(m, seed, GT0_POLICY, one_sided=True)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(hp.trace) == 200
+        assert held < 4 * 2**10 * len(hp.trace)
+
+    def test_traces_of_one_length_differ(self):
+        part = EXPERTS_12X6.row_partition
+        a, b = (
+            run_hidden_pattern(EXPERTS_12X6, seed_state(1 << i, Side.DOMAIN, part),
+                               GT0_POLICY).trace
+            for i in (0, 1)
+        )
+        assert len(a) == len(b) == 10
+        assert a != b and b != a and a != tuple(b) and tuple(b) != a
+        assert a == a and a != list(a) and a != None  # noqa: E711
+
+    def test_a_pattern_equals_and_hashes_as_with_a_tuple_trace(self):
+        spec = load_fixture("sec_2_2")
+        hp = run_model(spec, seed_from_labels(spec, ["S4"], Side.RANGE))
+        held = replace(hp, trace=tuple(hp.trace))
+        assert hp == held and held == hp and hash(hp) == hash(held)
+        assert hp != replace(hp, trace=None)
 
 
 def _fuzzy_spec() -> ModelSpec:
