@@ -31,7 +31,7 @@ from .errors import (
     StateSpaceTooLarge,
     StepLimitExceeded,
 )
-from .supermatrix import _F32_EXACT, Orientation, Partition, SuperMatrix, SuperVector
+from .supermatrix import Orientation, Partition, SuperMatrix, SuperVector
 
 __all__ = [
     "Side",
@@ -385,7 +385,8 @@ def step(
     keeps every product on the domain side.  The producing side's rule
     applies unless this is the run's first product and the policy's
     first-step rule takes over.  Seed coordinates are forced only on states
-    produced on the seed's side.
+    produced on the seed's side.  Sums are float64's: on non-integer maps
+    they can differ from the engine's exact ones at a near-tie cutoff.
     """
     if one_sided:
         direction = Direction.FORWARD
@@ -446,10 +447,11 @@ def run_hidden_pattern(
     the initial seed itself is excluded because the first product may be
     thresholded by a different rule, so only later states are guaranteed
     to lie on the stationary map.  Recurrence at the immediately preceding
-    visit is a fixed point, any longer gap a limit cycle.  Every product is
-    the one :func:`step` computes.  With ``record_trace``, the pattern's
-    trace keeps each product's arrays and builds its :class:`StepRecord`
-    only when read.
+    visit is a fixed point, any longer gap a limit cycle.  Products are
+    exact: entries and cutoffs are read as their shortest decimals, scaled
+    to integers.  With ``record_trace``, the pattern's trace keeps each
+    product's arrays and builds its :class:`StepRecord`, whose raw sums are
+    divided back by the scale, only when read.
     """
     _check_run(matrix, seed, max_steps, one_sided)
     (pattern,) = _run(
@@ -484,16 +486,14 @@ def _run(
 
     Every row is a seed on ``side``; ``first`` says whether the policy's
     first-step rule thresholds the block's first product.  A product is one
-    :func:`_move` of the live rows: a matrix product, one compare and, on
-    the seed's side, ``| seeds`` of the live rows.  Each move's product is
-    chosen once per run: one float32 gemm of the whole block where the map's
-    sums are exact in float32, else one float64 gemv per row, so fuzzy sums
-    keep :func:`special_product`'s order.  Each row keeps a dict of its own
-    packed seed-side states, in round order; the first key a row sees twice
-    closes its cycle and drops the row from the block.  Only a block of one
-    row may record a trace.  The patterns are built once, after the loop:
-    one per row, ``None`` where no seed-side state recurred within
-    ``max_steps`` products.
+    :func:`_move` of the live rows: one gemm of the whole block on the
+    scaled grid, one compare and, on the seed's side, ``| seeds`` of the
+    live rows.  Each row keeps a dict of its own packed seed-side states,
+    in round order; the first key a row sees twice closes its cycle and
+    drops the row from the block.  Only a block of one row may record a
+    trace.  The patterns are built once, after the loop: one per row,
+    ``None`` where no seed-side state recurred within ``max_steps``
+    products.
     """
     forward = one_sided or side is Side.DOMAIN  # ``x @ M`` from the seed's side
     produced = side if one_sided else side.opposite
@@ -513,10 +513,10 @@ def _run(
     trace: list = []  # per product, (produced, rule, raw, bits, state)
     state = seeds
     # no run reaches sys.maxsize products, the most islice takes as a stop
-    for product, produced, rule, compare, cutoff, forced in itertools.islice(
+    for grid, produced, rule, compare, cutoff, forced in itertools.islice(
         schedule, min(max_steps, sys.maxsize)
     ):
-        raw = product(state)
+        raw = state @ grid
         bits = compare(raw, cutoff)
         state = bits | seeds if forced else bits
         if record_trace:
@@ -545,46 +545,36 @@ def _run(
     return _patterns(matrix, side, cycles, None if one_sided else moves[0], trace)
 
 
-def _threshold(rule: ThresholdRule, exact: bool) -> tuple:
-    """``(compare, cutoff)`` with ``compare(raw, cutoff)`` equal to ``rule``.
-    When ``exact``, raw sums are float32 integers below ``_F32_EXACT`` in size, so
-    ``r > c`` iff ``r > floor(c)`` and ``r >= c`` iff ``r > ceil(c) - 1``:
-    NumPy may round the float cutoff itself to float32."""
-    if not exact:
-        return rule.compare, rule.cutoff
+def _threshold(rule: ThresholdRule, grid: np.ndarray, scale: int) -> tuple:
+    """``(compare, cutoff)`` with ``compare(raw, cutoff)`` equal to ``rule``
+    on ``raw / scale``, for ``raw`` the integer sums of a 0/1 block on
+    ``grid``.  With ``c`` the cutoff's shortest decimal times ``scale`` (at
+    scale 1 the float has the same floor and ceiling), ``r > c`` iff ``r >
+    floor(c)`` and ``r >= c`` iff ``r > ceil(c) - 1``: an integer, clamped
+    to where the grid's dtype holds every integer, so NumPy compares it
+    unrounded."""
     c = rule.cutoff
+    if scale > 1:
+        from fractions import Fraction  # as in SuperMatrix._exact
+
+        c = Fraction(repr(c)) * scale
     t = math.floor(c) if rule.comparator is Comparator.GT else math.ceil(c) - 1
-    return np.greater, np.float32(min(max(t, -_F32_EXACT), _F32_EXACT))
-
-
-def _operand(matrix: SuperMatrix, forward: bool) -> tuple[np.ndarray, bool]:
-    """``(grid, exact)``: the grid that ``state @ grid`` multiplies a block
-    by, ``M`` (``forward``) or ``M.T``, and whether it is the float32 copy
-    (:attr:`SuperMatrix._exact32`) rather than the float64 entries."""
-    exact = matrix._exact32
-    grid = matrix.entries if exact is None else exact
-    return (grid if forward else grid.T), exact is not None
+    bound = 2 ** (np.finfo(grid.dtype).nmant + 1)  # 2**24 or 2**53
+    return np.greater, grid.dtype.type(min(max(t, -bound), bound))
 
 
 def _move(
     matrix: SuperMatrix, forward: bool, side: Side, rule: ThresholdRule, forced: bool
 ) -> tuple:
-    """One product of a run onto ``side``, ``(product, side, rule, compare,
-    cutoff, forced)``: ``compare(product(state), cutoff)`` thresholds a (B x
-    n) boolean block by ``rule`` after multiplying it by :func:`_operand`'s
-    grid.  An exact grid multiplies the block as one gemm, whose integer sums
-    equal float64's in any order; otherwise each row is its own float64
-    gemv, as in :func:`special_product`, so its fuzzy sums do not depend on
-    the rows beside it.
+    """One product of a run onto ``side``, ``(grid, side, rule, compare,
+    cutoff, forced)``: ``compare(state @ grid, cutoff)`` thresholds a (B x n)
+    boolean block by ``rule`` after one gemm on the scaled grid of
+    :attr:`SuperMatrix._exact`, ``M`` (``forward``) or ``M.T``, whose
+    integer sums are exact in any order.
     """
-    grid, exact = _operand(matrix, forward)
-
-    def product(state: np.ndarray) -> np.ndarray:
-        if not exact:
-            return np.matmul(state[:, None], grid)[:, 0]
-        return np.matmul(state, grid)
-
-    return (product, side, rule, *_threshold(rule, exact), forced)
+    grid, scale = matrix._exact
+    grid = grid if forward else grid.T
+    return (grid, side, rule, *_threshold(rule, grid, scale), forced)
 
 
 def _patterns(
@@ -610,8 +600,8 @@ def _patterns(
     states = np.unpackbits(packed, axis=-1, count=part.total)
     mine = others = _vectors(states, side, part)
     if across is not None:
-        product, produced, _, compare, cutoff = across[:5]
-        bits = compare(product(states.view(bool)), cutoff)
+        grid, produced, _, compare, cutoff = across[:5]
+        bits = compare(states.view(bool) @ grid, cutoff)
         others = _vectors(bits, produced, _side_partition(matrix, produced))
     patterns: list[Optional[HiddenPattern]] = []
     at = 0
@@ -631,7 +621,7 @@ def _patterns(
                 period=period,
                 pair_sequence=tuple(zip(d, r)),
                 steps_to_enter=j,
-                trace=_Trace(trace) if trace else None,
+                trace=_Trace(trace, matrix._exact[1]) if trace else None,
             )
         )
     return patterns
@@ -642,14 +632,14 @@ def _vectors(states: np.ndarray, side: Side, part: Partition) -> list[StateVecto
     return [StateVector._trusted(tuple(r.tobytes()), side, part) for r in states]
 
 
-def _record(k: int, produced, rule, raw, bits, state) -> StepRecord:
+def _record(k: int, scale: int, produced, rule, raw, bits, state) -> StepRecord:
     """The record of product ``k`` of a block of one row, from its (1 x n)
-    arrays."""
+    arrays; each raw sum is divided by ``scale`` and rounded once."""
     return _filled(
         StepRecord,
         step_index=k,
         produced_side=produced,
-        raw=tuple(raw.tolist()[0]),
+        raw=tuple(np.divide(raw[0], scale, dtype=float).tolist()),
         thresholded=tuple(bits.tobytes()),
         after_update=tuple(state.tobytes()),
         rule_applied=rule,
@@ -660,16 +650,16 @@ class _Trace(Sequence):
     """Read-only sequence view of a traced run's records.
 
     Holds, per product, the ``(produced, rule, raw, bits, state)`` that the
-    engine kept for its block of one row; reading an index or iterating
-    builds the records, numbered from 1.  Equality and hash are those of
+    engine kept for its block of one row, and the map's scale; reading an
+    index or iterating builds the records, numbered from 1.  Equality and hash are those of
     the tuple of records, so a view equals another view or a tuple of
     equal records.
     """
 
-    __slots__ = ("_products",)
+    __slots__ = ("_products", "_scale")
 
-    def __init__(self, products: list):
-        self._products = products
+    def __init__(self, products: list, scale: int):
+        self._products, self._scale = products, scale
 
     def __len__(self) -> int:
         return len(self._products)
@@ -678,11 +668,11 @@ class _Trace(Sequence):
         if isinstance(k, slice):
             return tuple(self[i] for i in range(*k.indices(len(self))))
         k = range(len(self))[k]  # negative indices, IndexError past the end
-        return _record(k + 1, *self._products[k])
+        return _record(k + 1, self._scale, *self._products[k])
 
     def __iter__(self):
         for k, product in enumerate(self._products, 1):
-            yield _record(k, *product)
+            yield _record(k, self._scale, *product)
 
     def __eq__(self, other):
         if not isinstance(other, (_Trace, tuple)):
@@ -971,17 +961,14 @@ class _RoundMap:
 
     A round's first product is linear in the seed bits, so its raw sums for
     mask ``s`` are ``low[s & (2**k - 1)] + high[s >> k]``: the sums over the
-    low ``k`` bits and over the rest, each tabulated once in the grid's
-    dtype, one row per product column.  On the float32 copy the sums are
-    integers, and ``low + high > t`` iff ``low > t - high``: a chunk of
-    ``2 ** k`` consecutive masks costs, per column, one threshold of the
-    low sums against the chunk's shifted cutoff, one shift and one OR into
-    the chunk's bitmasks.  On fuzzy entries the order of the additions is
-    part of the result, so each low-bit sum adds its rows in increasing
-    order and each raw sum adds the low part to the high part once, into
-    one float64 column.  A two-sided round thresholds into a 0/1 block, one
+    low ``k`` bits and over the rest, each tabulated once on the scaled
+    grid, one row per product column.  The sums are exact integers, and
+    ``low + high > t`` iff ``low > t - high``: a chunk of ``2 ** k``
+    consecutive masks costs, per column, one threshold of the low sums
+    against the chunk's shifted cutoff, one shift and one OR into the
+    chunk's bitmasks.  A two-sided round thresholds into a 0/1 block, one
     row per mask, and multiplies it back to the seed side as one product.
-    Both products read :func:`_operand`'s grids and threshold as
+    Both products read the engine's scaled grid and threshold as
     :func:`_threshold` says.
     """
 
@@ -994,14 +981,14 @@ class _RoundMap:
     ):
         # one-sided runs multiply forward whichever side the seed is on
         forward = one_sided or side is Side.DOMAIN
-        self.grid, self.exact = _operand(matrix, forward)
+        grid, self.scale = matrix._exact
+        self.grid = grid if forward else grid.T
         self.k = min(self.grid.shape[0], _LOW_BITS)
         self.low = _subset_sums(self.grid[: self.k])
         self.high = _subset_sums(self.grid[self.k :])
         self.rule, self.back = policy.rule_for(side), None
         if not one_sided:  # the seed side's rule thresholds the back product
-            back = _operand(matrix, not forward)[0]
-            self.back = (back, *_threshold(self.rule, self.exact))
+            self.back = (self.grid.T, *_threshold(self.rule, self.grid, self.scale))
             self.rule = policy.rule_for(side.opposite)
 
     def _next(
@@ -1014,9 +1001,9 @@ class _RoundMap:
         """Write each mask's next state to ``out``, from the raw sums of the
         round's first product, which ``sums`` yields one column at a time;
         column ``j`` lacks ``shifts[j]``, taken off its cutoff, when given."""
-        compare, cutoff = _threshold(first_rule or self.rule, self.exact)
-        # t - shift is an exact integer up to 2**24 in size; float32 may round
-        # it past that, where it stays past every sum, all below 2**24 in size
+        compare, cutoff = _threshold(first_rule or self.rule, self.grid, self.scale)
+        # t - shift is an exact integer up to the grid's bound in size; the
+        # grid's dtype may round it past that, where it stays past every sum
         cutoffs = itertools.repeat(cutoff) if shifts is None else cutoff - shifts
         if self.back is not None:
             bits = np.empty((out.shape[0], self.grid.shape[1]), dtype=bool)
@@ -1030,16 +1017,8 @@ class _RoundMap:
     def fill(self, first_rule: Optional[ThresholdRule], out: np.ndarray) -> None:
         """Write the next state of every mask to ``out``; ``first_rule``
         replaces the round's first threshold when given."""
-        raw = None if self.exact else np.empty(1 << self.k)
         for h, chunk in enumerate(np.split(out, self.high.shape[1])):
-            if self.exact:
-                self._next(self.low, first_rule, chunk, self.high[:, h])
-                continue
-            sums = (
-                np.add(low, high, out=raw)
-                for low, high in zip(self.low, self.high[:, h])
-            )
-            self._next(sums, first_rule, chunk)
+            self._next(self.low, first_rule, chunk, self.high[:, h])
 
     def units(self, first_rule: Optional[ThresholdRule], dtype) -> np.ndarray:
         """Next state of each unit mask ``1 << i``, as :meth:`fill`: its first
@@ -1071,19 +1050,16 @@ def enumerate_attractors(
     seeds, and their keys, read in seed order, list the attractors; a fixed
     point's state is its key, written in place, and each group's cycle
     overwrites its slots.  The table comes from sums over the low 16 seed
-    bits: 256 KiB of float32 per product column on maps with the float32
-    copy, compared against each chunk's cutoff less its high-bit sums, else
-    512 KiB of float64 added to them.  States are 32-bit below 31 nodes,
+    bits, 256 KiB per product column on a float32 grid, compared against
+    each chunk's cutoff less its high-bit sums.  States are 32-bit below 31 nodes,
     and the walk compacts in place: about 21 bytes per seed while Brent's
     method runs; seeds on limit cycles add their lists and running minimum
     and AND while they are grouped.  The census it returns is columnar: no
     Python object is built per seed or per attractor until
     :attr:`AttractorCensus.attractors` is read.
 
-    Trajectories agree bit for bit with :func:`run_hidden_pattern` on maps
-    with the float32 copy, not always on fuzzy maps, whose near-tie sums
-    the two paths add in different orders.  They are implemented
-    independently (vector arithmetic there, tabulated bitmask transitions
+    Both read the same exact sums, so trajectories agree bit for bit with
+    :func:`run_hidden_pattern`.  They are implemented independently (vector arithmetic there, tabulated bitmask transitions
     here) so each checks the other.  Basin sizes sum to ``2 ** n``.
     """
     side = Side(side)

@@ -1,13 +1,17 @@
 """Small helpers shared by the test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from fuzzymaps import (
+    Comparator,
     HiddenPattern,
     Partition,
     PatternKind,
     Side,
     StateVector,
+    StepRecord,
     SuperMatrix,
     step,
 )
@@ -56,10 +60,51 @@ def reassemble(matrix: SuperMatrix) -> np.ndarray:
 def stepped_pattern(matrix, seed, policy, one_sided=False, record_trace=True):
     """The hidden pattern of ``seed``, from calls of the public ``step``.
 
-    The reference for the engine core: one product per call, and a dict of
-    the seed-side states seen so far; the first one seen twice closes the
-    pattern.  ``None`` when nothing recurs within 10,000 products.
+    The reference for the engine core on integer maps, whose float64 sums
+    are exact: one product per call, and a dict of the seed-side states
+    seen so far; the first one seen twice closes the pattern.  ``None`` when
+    nothing recurs within 10,000 products.
     """
+    return _walk(step, matrix, seed, policy, one_sided, record_trace)
+
+
+def exact(x) -> Fraction:
+    """A float as the shortest decimal that reads back as it."""
+    return Fraction(repr(float(x)))
+
+
+def exact_pattern(matrix, seed, policy, one_sided=False, record_trace=True):
+    """The hidden pattern of ``seed`` in exact arithmetic: as
+    :func:`stepped_pattern`, but each product adds the entries as
+    :func:`exact` fractions and compares the sums with the cutoff's, and a
+    record's raw sums are those fractions rounded once to float."""
+    rows = [[exact(x) for x in row] for row in matrix.entries.tolist()]
+    columns = [list(c) for c in zip(*rows)]
+
+    def exact_step(matrix, state, policy, seed, k, one_sided=False):
+        forward = one_sided or state.side is Side.DOMAIN
+        produced = state.side if one_sided else state.side.opposite
+        grid = rows if forward else columns
+        on = state.on_indices
+        raw = [sum((grid[i][j] for i in on), Fraction(0)) for j in range(len(grid[0]))]
+        if policy.first_step_applies(seed, k):
+            rule = policy.first_step_rule
+        else:
+            rule = policy.rule_for(produced)
+        c = exact(rule.cutoff)
+        ge = rule.comparator is Comparator.GE
+        bits = tuple(int(r >= c if ge else r > c) for r in raw)
+        after = bits
+        if produced is seed.side:
+            after = tuple(b | s for b, s in zip(bits, seed.bits))
+        return StepRecord(k, produced, tuple(map(float, raw)), bits, after, rule)
+
+    return _walk(exact_step, matrix, seed, policy, one_sided, record_trace)
+
+
+def _walk(step, matrix, seed, policy, one_sided, record_trace):
+    """The pattern that products from ``step``, called as the public
+    ``step`` is, lead to from ``seed``."""
     records, state, opp = [], seed, None
     rounds = []  # per round: (seed-side state, the round's opposite state)
     seen = {}  # seed-side bits -> 1-based round

@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 DYNAMICS = "src/fuzzymaps/dynamics.py"
+SUPERMATRIX = "src/fuzzymaps/supermatrix.py"
 MODEL_IO = "src/fuzzymaps/model_io.py"
 MODELS = "src/fuzzymaps/models.py"
 TIMEOUT_S = 120  # a mutant that hangs its tests this long counts as killed
@@ -51,21 +52,55 @@ MUTANTS = (
     Mutant(
         "operand-orientation",
         DYNAMICS,
-        "return (grid if forward else grid.T), exact is not None",
-        "return (grid.T if forward else grid), exact is not None",
+        "    grid = grid if forward else grid.T\n",
+        "    grid = grid.T if forward else grid\n",
         ("tests/test_dynamics.py",),
         "killed",
         "every product multiplies by the other side's grid",
     ),
     Mutant(
-        "operand-float64-entries",
-        DYNAMICS,
-        "grid = matrix.entries if exact is None else exact",
-        "grid = matrix.entries",
-        ("tests/test_dynamics.py::TestExactProduct",),
+        "scale-max-not-lcm",
+        SUPERMATRIX,
+        "scale = math.lcm(*(x.denominator for x in exact))",
+        "scale = max(x.denominator for x in exact)",
+        ("tests/test_supermatrix.py::TestValidation::"
+         "test_scale_is_the_lcm_of_the_decimal_denominators",),
         "killed",
-        "the same bits, but the two-sided census's back product casts each "
-        "chunk's 0/1 block to float64: test_peak_memory_of_a_two_sided_census",
+        "entries 0.5 and 0.2 scale by 5, and 0.5 becomes 2: "
+        "test_scale_is_the_lcm_of_the_decimal_denominators",
+    ),
+    Mutant(
+        "float32-up-to-2-24",
+        SUPERMATRIX,
+        "dtype = np.float32 if total < _F32_EXACT else np.float64",
+        "dtype = np.float32 if total <= _F32_EXACT else np.float64",
+        ("tests/test_supermatrix.py::TestValidation::"
+         "test_float64_from_a_scaled_total_of_2_24",),
+        "killed",
+        "a scaled total of exactly 2**24 keeps the float32 grid, where a "
+        "partial sum of 2**24 + 1 rounds: "
+        "test_float64_from_a_scaled_total_of_2_24",
+    ),
+    Mutant(
+        "cutoff-unscaled",
+        DYNAMICS,
+        "c = Fraction(repr(c)) * scale",
+        "c = Fraction(repr(c))",
+        ("tests/test_dynamics.py::TestExactProduct::"
+         "test_a_near_tie_in_all_six_orders",),
+        "killed",
+        "scaled sums meet the cutoff as written: a sum of 6 tenths passes "
+        "gt 0.6: test_a_near_tie_in_all_six_orders",
+    ),
+    Mutant(
+        "raw-not-divided-by-scale",
+        DYNAMICS,
+        "raw=tuple(np.divide(raw[0], scale, dtype=float).tolist()),",
+        "raw=tuple(np.asarray(raw[0], dtype=float).tolist()),",
+        ("tests/test_cli.py::TestRun::test_trace_prints_a_near_tie_exactly",),
+        "killed",
+        "a trace reports the scaled sums, 3 for 0.3: "
+        "test_trace_prints_a_near_tie_exactly",
     ),
     Mutant(
         "threshold-ge-ceil",
@@ -91,22 +126,12 @@ MUTANTS = (
     Mutant(
         "threshold-clamp-2-23",
         DYNAMICS,
-        "min(max(t, -_F32_EXACT), _F32_EXACT)",
-        "min(max(t, -_F32_EXACT // 2), _F32_EXACT // 2)",
+        "min(max(t, -bound), bound)",
+        "min(max(t, -bound // 2), bound // 2)",
         ("tests/test_dynamics.py::TestExactProduct",),
         "killed",
         "a sum between 2**23 and 2**24 passes a cutoff above it: "
         "test_a_sum_between_2_23_and_2_24",
-    ),
-    Mutant(
-        "threshold-float-cutoff",
-        DYNAMICS,
-        "    if not exact:\n        return rule.compare, rule.cutoff",
-        "    if True:\n        return rule.compare, rule.cutoff",
-        ("tests/test_dynamics.py::TestExactProduct",),
-        "killed",
-        "float32 sums meet a cutoff that NumPy may round to float32: "
-        "test_a_sum_of_3_against_a_near_tie_cutoff",
     ),
     Mutant(
         "units-read-columns",
@@ -120,8 +145,8 @@ MUTANTS = (
     Mutant(
         "next-ignores-first-rule",
         DYNAMICS,
-        "_threshold(first_rule or self.rule, self.exact)",
-        "_threshold(self.rule, self.exact)",
+        "_threshold(first_rule or self.rule, self.grid, self.scale)",
+        "_threshold(self.rule, self.grid, self.scale)",
         ("tests/test_dynamics.py",),
         "killed",
         "the census thresholds a run's first product by the side rule",

@@ -382,26 +382,55 @@ class TestRun:
         assert json.loads(target.read_text())["model"] == "ex_1_2_1"
 
     def test_trace_prints_a_near_tie_exactly(self, capsys, tmp_path):
-        # 0.1 + 0.2 is 0.30000000000000004, which gt 0.3 turns on
-        doc = {
-            "format_version": 1,
-            "name": "near_tie",
-            "kind": "fcm",
-            "entry_domain": "fuzzy_unit",
-            "domain": {"blocks": [["a", "b", "c"]]},
-            "range": {"blocks": [["a", "b", "c"]]},
-            "matrix": [[0, 0, 0.1], [0, 0, 0.2], [0, 0, 0]],
-            "policy": {
-                "domain": {"cmp": "gt", "cutoff": 0.3},
-                "range": {"cmp": "gt", "cutoff": 0.3},
-                "first_step": {"mode": "never", "cmp": "gt", "cutoff": 0},
-            },
-        }
-        path = tmp_path / "near_tie.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "run", str(path), "--on", "a,b", "--trace")
-        assert code == 0, err
-        assert "raw [0 0 0.30000000000000004] > 0.3 -> 111" in out
+        # 0.1 + 0.2 and 0.2 + 0.1 are exactly 0.3, which gt 0.3 leaves off,
+        # and the trace prints that sum; in float64 the first is
+        # 0.30000000000000004
+        for column in ([0.1, 0.2, 0], [0.2, 0.1, 0]):
+            path = tmp_path / "near_tie.json"
+            path.write_text(json.dumps(_fcm_doc([[0, 0, x] for x in column])))
+            code, out, err = run_cli(capsys, "run", str(path), "--on", "a,b", "--trace")
+            assert code == 0, err
+            assert "raw [0 0 0.3] > 0.3 -> 110" in out
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["validate"], 0),
+            (["dot"], 0),
+            (["run", "--on", "a"], 3),
+            (["sweep"], 3),
+            (["attractors"], 3),
+        ],
+    )
+    def test_a_map_past_exact_sums_is_refused_where_it_runs(
+        self, capsys, tmp_path, argv, code
+    ):
+        # three entries of 3333333333333333 / 10**16 sum past 2**53 once
+        # scaled to integers; only the commands that multiply refuse them
+        path = tmp_path / "thirds.json"
+        path.write_text(json.dumps(_fcm_doc([[0.3333333333333333] * 3] * 3)))
+        got, out, err = run_cli(capsys, *argv, str(path))
+        assert got == code, err
+        if code == 3:
+            assert "scale 10000000000000000" in err and "below 2^53" in err
+
+
+def _fcm_doc(matrix) -> dict:
+    """A fuzzy 3-node FCM over nodes a, b, c under ``gt 0.3``."""
+    return {
+        "format_version": 1,
+        "name": "near_tie",
+        "kind": "fcm",
+        "entry_domain": "fuzzy_unit",
+        "domain": {"blocks": [["a", "b", "c"]]},
+        "range": {"blocks": [["a", "b", "c"]]},
+        "matrix": matrix,
+        "policy": {
+            "domain": {"cmp": "gt", "cutoff": 0.3},
+            "range": {"cmp": "gt", "cutoff": 0.3},
+            "first_step": {"mode": "never", "cmp": "gt", "cutoff": 0},
+        },
+    }
 
 
 class TestSweep:

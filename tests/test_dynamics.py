@@ -1,11 +1,11 @@
 import itertools
+import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -49,11 +49,20 @@ from fuzzymaps import dynamics
 from fuzzymaps.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    ModelValidationError,
     StateSpaceTooLarge,
     StepLimitExceeded,
 )
 
-from _util import bits, canonical, pattern_cycle_masks, seed_state, stepped_pattern
+from _util import (
+    bits,
+    canonical,
+    exact,
+    exact_pattern,
+    pattern_cycle_masks,
+    seed_state,
+    stepped_pattern,
+)
 
 GT0 = ThresholdRule(Comparator.GT, 0)
 GE2 = ThresholdRule(Comparator.GE, 2)
@@ -409,10 +418,15 @@ def _stepped(matrix, seed, policy, one_sided, products):
     return tuple(records)
 
 
-def _assert_trace_is_stepped(matrix, seed, policy, one_sided):
+def _assert_trace_is_stepped(matrix, seed, policy, one_sided, exact_sums=False):
+    """The traced run's records are those of :func:`step`, or, with
+    ``exact_sums``, those of :func:`exact_pattern`'s walk."""
     hp = run_hidden_pattern(matrix, seed, policy, one_sided=one_sided)
     trace = hp.trace
-    stepped = _stepped(matrix, seed, policy, one_sided, len(trace))
+    if exact_sums:
+        stepped = exact_pattern(matrix, seed, policy, one_sided).trace
+    else:
+        stepped = _stepped(matrix, seed, policy, one_sided, len(trace))
     # a read-only sequence that equals, and hashes as, the tuple of records
     assert trace == stepped and stepped == trace and tuple(trace) == stepped
     assert hash(trace) == hash(stepped)
@@ -539,7 +553,7 @@ class TestEngineCore:
             part = spec.side_partition(side)
             for mask in range(1, 1 << min(part.total, 7)):
                 seed = seed_state(mask, side, part)
-                _assert_trace_is_stepped(spec.matrix, seed, spec.policy, False)
+                _assert_trace_is_stepped(spec.matrix, seed, spec.policy, False, True)
 
     @pytest.mark.parametrize(
         "name, side, one_sided",
@@ -583,9 +597,9 @@ class TestEngineCore:
                 assert hp == run_hidden_pattern(
                     spec.matrix, seed, spec.policy, record_trace=False
                 )
-                assert hp == stepped_pattern(spec.matrix, seed, spec.policy, False, False)
+                assert hp == exact_pattern(spec.matrix, seed, spec.policy, False, False)
                 traced = run_hidden_pattern(spec.matrix, seed, spec.policy)
-                assert traced == stepped_pattern(spec.matrix, seed, spec.policy, False, True)
+                assert traced == exact_pattern(spec.matrix, seed, spec.policy, False, True)
 
     def test_peak_memory_of_a_long_two_sided_run(self):
         # a chain lights one more node a round: 398 rounds to its fixed
@@ -689,8 +703,8 @@ def _traced_peak(call):
 
 
 class TestExactProduct:
-    """Integer maps multiply in float32 against integer-equivalent cutoffs;
-    any other map keeps the float64 per-row product."""
+    """Every map multiplies its entries scaled to integers, in float32 where
+    their total allows, against integer-equivalent cutoffs."""
 
     @pytest.mark.parametrize(
         "rule, on",
@@ -712,7 +726,7 @@ class TestExactProduct:
         for m, one_sided, policy, mask in cases:
             policy = replace(policy, first_step_mode=never)
             seed = seed_state(mask, Side.DOMAIN, m.row_partition)
-            assert m._exact32 is not None
+            assert m._exact[0].dtype == np.float32 and m._exact[1] == 1
             hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided)
             assert hp == stepped_pattern(m, seed, policy, one_sided, True)
             record = hp.trace[0 if one_sided else 1]
@@ -722,15 +736,17 @@ class TestExactProduct:
             assert census.attractor_of(seed).states == (mask | on << 3,)
 
     @pytest.mark.parametrize(
-        "entries",
+        "entries, dtype, scale",
         [
-            [[1, 0.5, 0], [0, 1, 1], [1, 1, 0]],  # one entry not an integer
-            [[2**23, -1, 0], [0, 0, 2**22], [1, 0, 2**22 - 2]],  # total 2**24
+            # one entry not an integer
+            ([[1, 0.5, 0], [0, 1, 1], [1, 1, 0]], np.float32, 2),
+            # total 2**24
+            ([[2**23, -1, 0], [0, 0, 2**22], [1, 0, 2**22 - 2]], np.float64, 1),
         ],
     )
-    def test_other_maps_keep_the_float64_product(self, entries):
+    def test_other_maps_take_their_scaled_grid(self, entries, dtype, scale):
         m = partition_matrix(entries)
-        assert m._exact32 is None
+        assert (m._exact[0].dtype, m._exact[1]) == (dtype, scale)
         policy = ThresholdPolicy(GT0, ThresholdRule(Comparator.GE, 1.5))
         for side, one_sided in itertools.product(Side, (False, True)):
             part = m.row_partition if side is Side.DOMAIN else m.col_partition
@@ -745,13 +761,66 @@ class TestExactProduct:
                 if mask.bit_count() == 1:
                     assert replace(hp, trace=None) == rows[mask.bit_length() - 1][1]
 
+    def test_a_near_tie_in_all_six_orders(self):
+        # 0.1, 0.2 and 0.3 into node 3 sum to exactly 0.6, which gt 0.6
+        # leaves off whichever node carries which weight; float64 adds them
+        # to 0.6000000000000001 in some orders
+        rule = ThresholdRule(Comparator.GT, 0.6)
+        policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
+        float_sums = set()
+        for weights in itertools.permutations((0.1, 0.2, 0.3)):
+            w = np.zeros((4, 4))
+            w[:3, 3] = weights
+            m = partition_matrix(w)
+            seed = seed_state(0b0111, Side.DOMAIN, m.row_partition)
+            hp = run_hidden_pattern(m, seed, policy, one_sided=True)
+            assert hp.fixed_pair[0].bits == (1, 1, 1, 0)
+            assert hp.trace[0].raw == (0, 0, 0, 0.6)
+            census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+            assert census.attractor_of(seed).states == (0b0111,)
+            float_sums.add(step(m, seed, policy, seed, 1, True).raw[3])
+        assert len(float_sums) == 2
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m, seed, policy: run_hidden_pattern(m, seed, policy),
+            lambda m, seed, policy: sweep_unit_seeds(m, Side.DOMAIN, policy),
+            lambda m, seed, policy: enumerate_attractors(m, Side.DOMAIN, policy),
+        ],
+        ids=["run", "sweep", "census"],
+    )
+    def test_a_map_past_exact_sums_is_refused(self, call):
+        # three entries of 3333333333333333 / 10**16 are past 2**53 once
+        # scaled; the product is refused, not run inexactly
+        m = partition_matrix(np.full((3, 3), 0.3333333333333333))
+        seed = seed_state(1, Side.DOMAIN, m.row_partition)
+        with pytest.raises(ModelValidationError, match=r"scale 10+ .* below 2\^53"):
+            call(m, seed, GT0_POLICY)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_stepped_and_exact_walks_agree_on_the_fixtures(self, name):
+        # integer entries: float64 sums are exact, so the two references
+        # are one, traces included
+        spec = load_fixture(name)
+        rng = np.random.default_rng(len(name))
+        sides = [Side.DOMAIN] if spec.one_sided else list(Side)
+        for side in sides:
+            part = spec.side_partition(side)
+            masks = [1 << i for i in range(part.total)]
+            masks += rng.integers(1, 1 << part.total, size=8).tolist()
+            for mask in masks:
+                seed = seed_state(mask, side, part)
+                args = (spec.matrix, seed, spec.policy, spec.one_sided)
+                assert stepped_pattern(*args) == exact_pattern(*args)
+
     def test_a_sum_between_2_23_and_2_24(self):
         # float32 cutoffs are clamped at 2**24: a clamp any lower would put
         # node 1's sum of 2**23 + 5 above the cutoff of 2**23 + 10
         m = partition_matrix([[0, 2**23 + 5], [0, 0]])
         rule = ThresholdRule(Comparator.GT, 2**23 + 10)
         policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
-        assert m._exact32 is not None
+        assert m._exact[0].dtype == np.float32
         census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
         for mask in (0b01, 0b10, 0b11):
             seed = seed_state(mask, Side.DOMAIN, m.row_partition)
@@ -803,8 +872,8 @@ class TestExactProduct:
         w[:16, 0] = sign * 798_000
         w[16, 0] = -sign * 4_000_000
         m = partition_matrix(w)
-        assert m._exact32 is not None and np.abs(w).sum() > 2**24 - 10_000
-        shifted = float(dynamics._threshold(rule, True)[1]) - w[16, 0]
+        assert m._exact[0].dtype == np.float32 and np.abs(w).sum() > 2**24 - 10_000
+        shifted = float(dynamics._threshold(rule, *m._exact)[1]) - w[16, 0]
         assert abs(shifted) == 16_800_001 and np.float32(shifted) != shifted
         for policy in (
             ThresholdPolicy(GT0, GT0, rule, FirstStepMode.ALWAYS),
@@ -1283,15 +1352,10 @@ class TestEnumeration:
         assert census.basins[census.periods > 1].sum() >= 0.3 * (1 << 20)
         assert peak <= 25 * 2**20
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the census adds a fuzzy map's sums in another order than exact "
-        "arithmetic, so a near-tie cutoff can flip a bit",
-    )
     def test_a_fuzzy_near_tie_follows_exact_sums(self):
-        # seed 49 = {0, 4, 5} sums 0.2 + 0.4 + 0.6 into node 2: the stored
-        # floats add to just below the cutoff, but to the cutoff itself in
-        # float64, so the census turns node 2 on and settles at 55
+        # seed 49 = {0, 4, 5} sums 0.2 + 0.4 + 0.6 = 1.2 into node 2, below
+        # the cutoff; in float64 the sum is the cutoff itself, which turned
+        # node 2 on and settled the seed at 55
         w = [
             [0.1, 0.3, 0.2, 0, 0, 0.2],
             [0.3, 0.7, 0, 0.2, 0.1, 0],
@@ -1302,24 +1366,14 @@ class TestEnumeration:
         ]
         rule = ThresholdRule(Comparator.GE, 1.2000000000000002)
         policy = ThresholdPolicy(rule, rule, first_step_mode=FirstStepMode.NEVER)
-        census = enumerate_attractors(
-            partition_matrix(w), Side.DOMAIN, policy, one_sided=True
-        )
-        cutoff, seed = Fraction(rule.cutoff), 49
-
-        def exact_round(s):
-            on = [i for i in range(6) if s >> i & 1]
-            sums = [sum(Fraction(w[i][j]) for i in on) for j in range(6)]
-            return seed | sum(1 << j for j in range(6) if sums[j] >= cutoff)
-
-        seen: dict = {}
-        state = exact_round(seed)
-        while state not in seen:
-            seen[state] = len(seen)
-            state = exact_round(state)
-        cycle = canonical(tuple(list(seen)[seen[state] :]))
-        assert cycle == (49,)
-        assert census.attractor_of(seed).states == cycle
+        m = partition_matrix(w)
+        census = enumerate_attractors(m, Side.DOMAIN, policy, one_sided=True)
+        seed = seed_state(49, Side.DOMAIN, m.row_partition)
+        hp = run_hidden_pattern(m, seed, policy, one_sided=True)
+        assert hp == exact_pattern(m, seed, policy, True)
+        assert hp.fixed_pair[0].bitmask == 49
+        assert census.attractor_of(seed).states == (49,)
+        assert w[0][2] + w[4][2] + w[5][2] == rule.cutoff  # in float64
 
     def test_census_never_imports_numpy_ma(self):
         # np.unique imports numpy.ma on its first call, about 1 MB of
@@ -1360,29 +1414,39 @@ CUTOFFS = (0.0, 1.0, 2.0, 0.3, 0.1 + 0.2, 0.6, 0.5, -0.1)
 def _reference_census(m, side, policy, one_sided):
     """The census computed the plain way: (cycles, assignment).
 
-    A round's first raw sums add the seed-side rows of the set bits in
-    increasing order, those below bit 16 and those above separately, then
-    the two parts; a two-sided round adds the opposite side's columns back
-    the same way.  Each seed walks until a state repeats; its cycle, rotated
+    Each entry is its :func:`exact` fraction times ``d``, the least common
+    multiple of their denominators: an int64.  A round's first raw sums add
+    the seed-side rows of the set bits, a two-sided round adds the opposite
+    side's columns back, and a sum ``r`` passes a cutoff whose fraction
+    times ``d`` is ``c`` when ``r > floor(c)`` (``gt``) or ``r >= ceil(c)``
+    (``ge``).  Each seed walks until a state repeats; its cycle, rotated
     to its minimum state, is looked up in a dict whose insertion order
     numbers the attractors by their smallest seed.
     """
-    grid = m.entries if one_sided or side is Side.DOMAIN else m.entries.T
+    fractions = [[exact(x) for x in row] for row in m.entries.tolist()]
+    d = math.lcm(*(x.denominator for row in fractions for x in row))
+    grid = np.array([[int(x * d) for x in row] for row in fractions], np.int64)
+    if not (one_sided or side is Side.DOMAIN):
+        grid = grid.T
     n, width = grid.shape
     masks = np.arange(1 << n)
-    low, high = np.zeros((1 << n, width)), np.zeros((1 << n, width))
+    raw = np.zeros((1 << n, width), np.int64)
     for i in range(n):
-        (low if i < 16 else high)[(masks >> i) & 1 == 1] += grid[i]
-    raw = low + high
+        raw[(masks >> i) & 1 == 1] += grid[i]
+
+    def passes(sums, rule):
+        c = exact(rule.cutoff) * d
+        if rule.comparator is Comparator.GT:
+            return sums > math.floor(c)
+        return sums >= math.ceil(c)
 
     def round_table(rule):
-        bits = rule.compare(raw, rule.cutoff)
+        bits = passes(raw, rule)
         if not one_sided:
-            back_rule = policy.rule_for(side)
-            back = np.zeros((1 << n, n))
+            back = np.zeros((1 << n, n), np.int64)
             for j in range(width):
                 back[bits[:, j]] += grid[:, j]
-            bits = back_rule.compare(back, back_rule.cutoff)
+            bits = passes(back, policy.rule_for(side))
         return (bits.astype(np.int64) << np.arange(n)).sum(axis=1).tolist()
 
     table = round_table(policy.rule_for(side if one_sided else side.opposite))
@@ -1511,16 +1575,22 @@ def engine_cases(draw, entry=None, cutoff=st.sampled_from(CUTOFFS)):
 @given(engine_cases(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_sweep_equals_stepped_reference(case, data):
-    _assert_engine_is_stepped(*case, data)
+    # float64 sums of fuzzy entries depend on their order: those maps are
+    # held to the exact walk
+    m = case[0]
+    integral = np.array_equal(np.trunc(m.entries), m.entries)
+    _assert_engine_is_stepped(*case, data, stepped_pattern if integral else exact_pattern)
 
 
-def _assert_engine_is_stepped(m, side, policy, one_sided, trace, data):
+def _assert_engine_is_stepped(
+    m, side, policy, one_sided, trace, data, reference=stepped_pattern
+):
     """The unit-seed sweep and one run from a drawn seed equal
-    :func:`stepped_pattern`; returns that run, or ``None`` where a unit seed
-    reaches the step limit."""
+    ``reference``'s patterns; returns that run, or ``None`` where a unit
+    seed reaches the step limit."""
     part = m.row_partition if side is Side.DOMAIN else m.col_partition
     expected = [
-        stepped_pattern(m, seed_state(1 << i, side, part), policy, one_sided, False)
+        reference(m, seed_state(1 << i, side, part), policy, one_sided, False)
         for i in range(part.total)
     ]
     if None in expected:
@@ -1532,8 +1602,75 @@ def _assert_engine_is_stepped(m, side, policy, one_sided, trace, data):
     # one run, a block of one row, from any seed, traced or not
     seed = seed_state(data.draw(st.integers(0, (1 << part.total) - 1)), side, part)
     hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided, record_trace=trace)
-    assert hp == stepped_pattern(m, seed, policy, one_sided, trace)
+    assert hp == reference(m, seed, policy, one_sided, trace)
     return seed, hp
+
+
+# --- metamorphic properties on fuzzy maps: exact sums keep the bits --------
+
+_FUZZY_CASES = engine_cases(st.sampled_from(FUZZY))
+
+
+def _seed_of(m, side, data):
+    part = m.row_partition if side is Side.DOMAIN else m.col_partition
+    return seed_state(data.draw(st.integers(0, (1 << part.total) - 1)), side, part)
+
+
+@given(_FUZZY_CASES, st.data())
+@settings(max_examples=500, deadline=None)
+def test_permuting_a_sides_nodes_permutes_the_pattern(case, data):
+    # node k of the permuted map is node p[k] (domain) or q[k] (range) of
+    # the drawn one; a one-sided map permutes both axes alike
+    m, side, policy, one_sided, _ = case
+    seed = _seed_of(m, side, data)
+    p = data.draw(st.permutations(range(m.n_rows)))
+    q = p if one_sided else data.draw(st.permutations(range(m.n_cols)))
+    moved = SuperMatrix(m.entries[p][:, q], m.row_partition, m.col_partition)
+    perm = {Side.DOMAIN: p, Side.RANGE: q}
+    moved_seed = StateVector([seed.bits[i] for i in perm[side]], side, seed.partition)
+    hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided)
+    got = run_hidden_pattern(moved, moved_seed, policy, one_sided=one_sided)
+    assert (got.period, got.steps_to_enter) == (hp.period, hp.steps_to_enter)
+    for pair, moved_pair in zip(hp.pair_sequence, got.pair_sequence):
+        for state, moved_state in zip(pair, moved_pair):
+            order = perm[state.side]
+            assert moved_state.bits == tuple(state.bits[i] for i in order)
+    assert len(got.trace) == len(hp.trace)
+    for record, moved_record in zip(hp.trace, got.trace):
+        order = perm[record.produced_side]
+        assert moved_record.raw == tuple(record.raw[i] for i in order)
+        assert moved_record.after_update == tuple(record.after_update[i] for i in order)
+
+
+@given(_FUZZY_CASES, st.data())
+@settings(max_examples=500, deadline=None)
+def test_repartitioning_leaves_the_bits(case, data):
+    m, side, policy, one_sided, _ = case
+    rows = _split(data.draw, m.n_rows)
+    cols = rows if one_sided else _split(data.draw, m.n_cols)
+    other = SuperMatrix(m.entries, rows, cols)
+    seed = _seed_of(m, side, data)
+    part = rows if side is Side.DOMAIN else cols
+    hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided)
+    got = run_hidden_pattern(
+        other, StateVector(seed.bits, side, part), policy, one_sided=one_sided
+    )
+    assert got.trace == hp.trace
+    assert (got.period, got.steps_to_enter) == (hp.period, hp.steps_to_enter)
+    assert [(d.bits, r.bits) for d, r in got.pair_sequence] == [
+        (d.bits, r.bits) for d, r in hp.pair_sequence
+    ]
+
+
+@given(_FUZZY_CASES, st.data())
+@settings(max_examples=500, deadline=None)
+def test_census_equals_engine_equals_exact_walk(case, data):
+    m, side, policy, one_sided, trace = case
+    seed = _seed_of(m, side, data)
+    hp = run_hidden_pattern(m, seed, policy, one_sided=one_sided, record_trace=trace)
+    assert hp == exact_pattern(m, seed, policy, one_sided, trace)
+    census = enumerate_attractors(m, side, policy, one_sided=one_sided)
+    assert census.attractor_of(seed).states == canonical(pattern_cycle_masks(hp, side))
 
 
 # integer cutoffs moved by less than float32 resolves, halves, cutoffs past
@@ -1554,7 +1691,7 @@ def test_exact_product_equals_stepped_reference(case, data):
     # integer maps take the float32 product; near-integer cutoffs would
     # round onto the sums if the float cutoff were compared in float32
     m, side, policy, one_sided, _ = case
-    assert m._exact32 is not None
+    assert m._exact[0].dtype == np.float32 and m._exact[1] == 1
     run = _assert_engine_is_stepped(*case, data)
     if run is not None:
         seed, hp = run

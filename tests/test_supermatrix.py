@@ -23,6 +23,7 @@ from fuzzymaps.errors import (
     DimensionMismatch,
     DuplicateCut,
     EmptyPartition,
+    ModelValidationError,
     NonPositiveBlock,
     PartitionError,
 )
@@ -388,12 +389,77 @@ class TestValidation:
         # the copy's offset would otherwise move with unrelated allocations
         entries = np.arange(shape[0] * shape[1], dtype=float).reshape(shape) % 7 - 3
         m = partition_matrix(entries)
-        exact = m._exact32
-        assert exact.ctypes.data % 64 == 0
+        exact, scale = m._exact
+        assert exact.ctypes.data % 64 == 0 and scale == 1
         assert exact.dtype == np.float32 and exact.flags.c_contiguous
         assert np.array_equal(exact, entries)
         with pytest.raises(ValueError):
             exact[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (18, 18), (200, 200)])
+    @pytest.mark.parametrize(
+        "fill, scale, dtype",
+        [(0.5, 2, np.float32), (0.25, 4, np.float32), (2**24, 1, np.float64),
+         (2**23 + 0.5, 2, np.float64)],
+    )
+    def test_both_grids_are_64_byte_aligned_and_read_only(
+        self, shape, fill, scale, dtype
+    ):
+        entries = np.zeros(shape)
+        entries[0, 0] = fill
+        entries[-1, -1] += 1  # another entry, or the same one again
+        m = partition_matrix(entries)
+        grid, got = m._exact
+        assert grid.ctypes.data % 64 == 0 and grid.flags.c_contiguous
+        assert (grid.dtype, got) == (dtype, scale)
+        assert np.array_equal(grid, entries * scale)
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
+    def test_scale_is_the_lcm_of_the_decimal_denominators(self):
+        # 0.5 and 0.2 need 10, not their larger denominator 5
+        m = partition_matrix([[0.5, 0.2], [-0.25, 0.04]])
+        grid, scale = m._exact
+        assert scale == 100
+        assert grid.tolist() == [[50, 20], [-25, 4]]
+
+    def test_a_scaled_entry_is_its_decimal_exactly(self):
+        # the float times 100, rounded, is one more than the decimal's
+        x = 36853795956692.77
+        assert np.rint(x * 100) == 3685379595669278
+        grid, scale = partition_matrix([[x, 0], [0, 1]])._exact
+        assert scale == 100 and grid.dtype == np.float64
+        assert grid[0, 0] == 3685379595669277 and grid[1, 1] == 100
+
+    @pytest.mark.parametrize(
+        "entries, dtype",
+        [
+            ([[0.5, 2**23 - 1.0], [0, 0]], np.float32),  # 1 + 2**24 - 2
+            ([[0.5, 2**23 - 0.5], [0, 0]], np.float64),  # 1 + 2**24 - 1
+            ([[2**23 - 1, -(2**23)], [0, 0]], np.float32),  # scale 1
+            ([[2**23, -(2**23)], [0, 0]], np.float64),
+        ],
+    )
+    def test_float64_from_a_scaled_total_of_2_24(self, entries, dtype):
+        assert partition_matrix(entries)._exact[0].dtype == dtype
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[0.3333333333333333] * 3] * 3, "scale 10000000000000000 sum to "
+             "29999999999999997"),
+            ([[2.0**52, -(2.0**52)], [0, 0]], "scale 1 sum to 9007199254740992"),
+            ([[5e-324, 1]], "scale 2" + "0" * 323),  # a scale past 2**53
+            ([[np.inf, 0.5]], "scale 1 sum to inf"),
+            ([[np.nan, 0.5]], "scale 1 sum to nan"),
+        ],
+    )
+    def test_maps_past_exact_sums_are_refused(self, entries, message):
+        m = partition_matrix(entries)
+        for _ in range(2):  # a refusal is not cached
+            with pytest.raises(ModelValidationError, match="below 2\\^53") as err:
+                m._exact
+            assert message in str(err.value)
 
 
 # --- randomized invariants ---------------------------------------------------
