@@ -91,11 +91,6 @@ class ThresholdRule:
         object.__setattr__(self, "comparator", Comparator(self.comparator))
         object.__setattr__(self, "cutoff", float(self.cutoff))
 
-    @property
-    def compare(self) -> np.ufunc:
-        """The elementwise test, called as ``compare(raw, cutoff)``."""
-        return np.greater_equal if self.comparator is Comparator.GE else np.greater
-
     def describe(self) -> str:
         sym = ">=" if self.comparator is Comparator.GE else ">"
         return f"{sym} {_num(self.cutoff)}"
@@ -293,13 +288,13 @@ class HiddenPattern:
     """Eventual behaviour of a run: a fixed pair or a limit cycle.
 
     ``pair_sequence`` holds one (domain state, range state) pair per cycle
-    position; one forward product from a pair's domain member yields its
-    range member, and one backward product (with seed forcing) yields the
-    next pair's domain member.  One-sided runs store the same state in both
-    slots.  ``steps_to_enter`` counts full rounds before the cycle's first
-    state appears.  ``trace``, when the run recorded one, holds a
-    :class:`StepRecord` per product in a read-only sequence that builds
-    each record as it is read; it equals, and hashes as, the tuple of its
+    position.  Limit cycles are one-sided only, and one-sided runs store the
+    same state in both slots; a two-sided run ends at one fixed pair, each
+    member the product of the other (with seed forcing on the seed's side).
+    ``steps_to_enter`` counts full rounds before the cycle's first state
+    appears.  ``trace``, when the run recorded one, holds a
+    :class:`StepRecord` per product in a read-only sequence that builds each
+    record as it is read; it equals, and hashes as, the tuple of its
     records.
     """
 
@@ -352,7 +347,8 @@ def special_product(
 
 
 def apply_threshold(raw, rule: ThresholdRule) -> np.ndarray:
-    return rule.compare(np.asarray(raw, dtype=float), rule.cutoff).astype(np.uint8)
+    compare = np.greater_equal if rule.comparator is Comparator.GE else np.greater
+    return compare(np.asarray(raw, dtype=float), rule.cutoff).astype(np.uint8)
 
 
 def apply_update(bits, forced_on: Iterable[int]) -> np.ndarray:
@@ -443,15 +439,20 @@ def run_hidden_pattern(
 ) -> HiddenPattern:
     """Iterate from ``seed`` until a seed-side state recurs.
 
-    Seed-side states are recorded from the first completed round onward;
-    the initial seed itself is excluded because the first product may be
-    thresholded by a different rule, so only later states are guaranteed
-    to lie on the stationary map.  Recurrence at the immediately preceding
-    visit is a fixed point, any longer gap a limit cycle.  Products are
-    exact: entries and cutoffs are read as their shortest decimals, scaled
-    to integers.  With ``record_trace``, the pattern's trace keeps each
-    product's arrays and builds its :class:`StepRecord`, whose raw sums are
-    divided back by the scale, only when read.
+    Seed-side states are recorded from the first completed round onward: the
+    first product may take the first-step rule, so only later states surely
+    lie on the stationary map.  Recurrence at the immediately preceding
+    visit is a fixed point, any longer gap a limit cycle, which only a
+    one-sided run reaches.  Products are exact: entries and cutoffs are read
+    as their shortest decimals, scaled to integers.  So a two-sided run, its
+    seed forced on its own side only and its first-step rule on product 1
+    only, ends at a fixed pair: as in Kosko's bidirectional associative
+    memory, ``E(x, y) = -x M y^T + c_D sum(x) + c_R sum(y)``, with the side
+    cutoffs ``c_D`` and ``c_R``, never rises from the second product on, and
+    where it stays level a node moves only off (``gt``) or only on (``ge``).
+    With ``record_trace``, the pattern's trace keeps each product's arrays
+    and builds its :class:`StepRecord`, whose raw sums are divided back by
+    the scale, only when read.
     """
     _check_run(matrix, seed, max_steps, one_sided)
     (pattern,) = _run(
@@ -488,12 +489,12 @@ def _run(
     first-step rule thresholds the block's first product.  A product is one
     :func:`_move` of the live rows: one gemm of the whole block on the
     scaled grid, one compare and, on the seed's side, ``| seeds`` of the
-    live rows.  Each row keeps a dict of its own packed seed-side states,
-    in round order; the first key a row sees twice closes its cycle and
-    drops the row from the block.  Only a block of one row may record a
+    live rows.  A row keeps a dict of its packed seed-side states in round
+    order, a two-sided row only its last (it settles at a fixed pair, see
+    :func:`run_hidden_pattern`); the first key a row sees twice closes its
+    cycle and drops it from the block.  Only a block of one row may record a
     trace.  The patterns are built once, after the loop: one per row,
-    ``None`` where no seed-side state recurred within ``max_steps``
-    products.
+    ``None`` where no seed-side state recurred within ``max_steps`` products.
     """
     forward = one_sided or side is Side.DOMAIN  # ``x @ M`` from the seed's side
     produced = side if one_sided else side.opposite
@@ -513,11 +514,11 @@ def _run(
     trace: list = []  # per product, (produced, rule, raw, bits, state)
     state = seeds
     # no run reaches sys.maxsize products, the most islice takes as a stop
-    for grid, produced, rule, compare, cutoff, forced in itertools.islice(
-        schedule, min(max_steps, sys.maxsize)
+    for t, (grid, produced, rule, cutoff, forced) in enumerate(
+        itertools.islice(schedule, min(max_steps, sys.maxsize))
     ):
         raw = state @ grid
-        bits = compare(raw, cutoff)
+        bits = raw > cutoff
         state = bits | seeds if forced else bits
         if record_trace:
             trace.append((produced, rule, raw, bits, state))
@@ -528,11 +529,13 @@ def _run(
         for p, visited in enumerate(seen):
             k = packed[p * width : (p + 1) * width]
             if k in visited:
-                keys = list(visited)
+                keys = list(visited)  # the rounds before round t // len(moves)
                 j = keys.index(k)
-                cycles[rows[p]] = (j, keys[j:])
+                cycles[rows[p]] = (t // len(moves) - len(keys) + j, keys[j:])
                 closed = True
             else:
+                if not one_sided:  # it settles: its last state is enough
+                    visited.clear()
                 visited[k] = None
         if not closed:
             continue
@@ -545,14 +548,13 @@ def _run(
     return _patterns(matrix, side, cycles, None if one_sided else moves[0], trace)
 
 
-def _threshold(rule: ThresholdRule, grid: np.ndarray, scale: int) -> tuple:
-    """``(compare, cutoff)`` with ``compare(raw, cutoff)`` equal to ``rule``
-    on ``raw / scale``, for ``raw`` the integer sums of a 0/1 block on
-    ``grid``.  With ``c`` the cutoff's shortest decimal times ``scale`` (at
-    scale 1 the float has the same floor and ceiling), ``r > c`` iff ``r >
-    floor(c)`` and ``r >= c`` iff ``r > ceil(c) - 1``: an integer, clamped
-    to where the grid's dtype holds every integer, so NumPy compares it
-    unrounded."""
+def _threshold(rule: ThresholdRule, grid: np.ndarray, scale: int) -> np.floating:
+    """The cutoff with ``raw > cutoff`` equal to ``rule`` on ``raw / scale``,
+    for ``raw`` the integer sums of a 0/1 block on ``grid``.  With ``c`` the
+    cutoff's shortest decimal times ``scale`` (at scale 1 the float has the
+    same floor and ceiling), ``r > c`` iff ``r > floor(c)`` and ``r >= c``
+    iff ``r > ceil(c) - 1``: an integer, clamped to where the grid's dtype
+    holds every integer, so NumPy compares it unrounded."""
     c = rule.cutoff
     if scale > 1:
         from fractions import Fraction  # as in SuperMatrix._exact
@@ -560,21 +562,20 @@ def _threshold(rule: ThresholdRule, grid: np.ndarray, scale: int) -> tuple:
         c = Fraction(repr(c)) * scale
     t = math.floor(c) if rule.comparator is Comparator.GT else math.ceil(c) - 1
     bound = 2 ** (np.finfo(grid.dtype).nmant + 1)  # 2**24 or 2**53
-    return np.greater, grid.dtype.type(min(max(t, -bound), bound))
+    return grid.dtype.type(min(max(t, -bound), bound))
 
 
 def _move(
     matrix: SuperMatrix, forward: bool, side: Side, rule: ThresholdRule, forced: bool
 ) -> tuple:
-    """One product of a run onto ``side``, ``(grid, side, rule, compare,
-    cutoff, forced)``: ``compare(state @ grid, cutoff)`` thresholds a (B x n)
-    boolean block by ``rule`` after one gemm on the scaled grid of
-    :attr:`SuperMatrix._exact`, ``M`` (``forward``) or ``M.T``, whose
-    integer sums are exact in any order.
+    """One product of a run onto ``side``, ``(grid, side, rule, cutoff,
+    forced)``: ``state @ grid > cutoff`` thresholds a (B x n) boolean block
+    by ``rule``, on the scaled grid of :attr:`SuperMatrix._exact`, ``M``
+    (``forward``) or ``M.T``, whose integer sums are exact in any order.
     """
     grid, scale = matrix._exact
     grid = grid if forward else grid.T
-    return (grid, side, rule, *_threshold(rule, grid, scale), forced)
+    return (grid, side, rule, _threshold(rule, grid, scale), forced)
 
 
 def _patterns(
@@ -586,12 +587,12 @@ def _patterns(
 ) -> list[Optional[HiddenPattern]]:
     """Each row's pattern from ``(j, keys)``, the packed seed-side states
     ``s_t`` of its cycle, entered after ``j`` rounds (``None`` stays so).
-    Pairs are ``(s_t, s_t)`` one-sided (``across`` is ``None``), ``(s_t,
-    o_t)`` from the domain side and ``(o_t, s_{t+1})`` from the range side,
-    where ``o_t`` is ``across`` of ``s_t``: the run's :func:`_move` from the
-    seed's side with the side rule, as it opens a round after the first.
-    The cycles move across as one (S x n) block, so the bits are the
-    engine's own.
+    One-sided (``across`` is ``None``), pairs are ``(s_t, s_t)``.  A
+    two-sided row holds one fixed state ``s``, whose one pair is ``(s, o)``
+    from the domain side and ``(o, s)`` from the range side, where ``o`` is
+    ``across`` of ``s``: the run's :func:`_move` from the seed's side with
+    the side rule, as it opens a round after the first.  The states move
+    across as one (S x n) block, so the bits are the engine's own.
     """
     part = _side_partition(matrix, side)
     keys = [k for cycle in cycles if cycle for k in cycle[1]]
@@ -600,9 +601,10 @@ def _patterns(
     states = np.unpackbits(packed, axis=-1, count=part.total)
     mine = others = _vectors(states, side, part)
     if across is not None:
-        grid, produced, _, compare, cutoff = across[:5]
-        bits = compare(states.view(bool) @ grid, cutoff)
+        grid, produced, _, cutoff = across[:4]
+        bits = states.view(bool) @ grid > cutoff
         others = _vectors(bits, produced, _side_partition(matrix, produced))
+    pairs = list(zip(mine, others) if side is Side.DOMAIN else zip(others, mine))
     patterns: list[Optional[HiddenPattern]] = []
     at = 0
     for cycle in cycles:
@@ -610,16 +612,13 @@ def _patterns(
             patterns.append(None)
             continue
         j, period = cycle[0], len(cycle[1])
-        d, r = mine[at : at + period], others[at : at + period]
         at += period
-        if across is not None and side is Side.RANGE:
-            d, r = r, d[1:] + d[:1]  # (o_t, s_{t+1})
         patterns.append(
             _filled(
                 HiddenPattern,
                 kind=PatternKind.of_period(period),
                 period=period,
-                pair_sequence=tuple(zip(d, r)),
+                pair_sequence=tuple(pairs[at - period : at]),
                 steps_to_enter=j,
                 trace=_Trace(trace, matrix._exact[1]) if trace else None,
             )
@@ -945,13 +944,13 @@ def _subset_sums(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(columns: Iterable[tuple], compare: np.ufunc, out: np.ndarray) -> None:
-    """Set bit ``j`` of ``out[s]`` iff ``compare(column[s], cutoff)`` for the
+def _pack(columns: Iterable[tuple], out: np.ndarray) -> None:
+    """Set bit ``j`` of ``out[s]`` iff ``column[s] > cutoff`` for the
     ``j``-th pair ``(column, cutoff)`` of ``columns``."""
     out[...] = 0
     hit = np.empty_like(out)
     for j, (column, cutoff) in enumerate(columns):
-        compare(column, cutoff, out=hit)
+        np.greater(column, cutoff, out=hit)
         np.left_shift(hit, j, out=hit)
         out |= hit
 
@@ -988,7 +987,7 @@ class _RoundMap:
         self.high = _subset_sums(self.grid[self.k :])
         self.rule, self.back = policy.rule_for(side), None
         if not one_sided:  # the seed side's rule thresholds the back product
-            self.back = (self.grid.T, *_threshold(self.rule, self.grid, self.scale))
+            self.back = (self.grid.T, _threshold(self.rule, self.grid, self.scale))
             self.rule = policy.rule_for(side.opposite)
 
     def _next(
@@ -1001,18 +1000,18 @@ class _RoundMap:
         """Write each mask's next state to ``out``, from the raw sums of the
         round's first product, which ``sums`` yields one column at a time;
         column ``j`` lacks ``shifts[j]``, taken off its cutoff, when given."""
-        compare, cutoff = _threshold(first_rule or self.rule, self.grid, self.scale)
+        cutoff = _threshold(first_rule or self.rule, self.grid, self.scale)
         # t - shift is an exact integer up to the grid's bound in size; the
         # grid's dtype may round it past that, where it stays past every sum
         cutoffs = itertools.repeat(cutoff) if shifts is None else cutoff - shifts
         if self.back is not None:
             bits = np.empty((out.shape[0], self.grid.shape[1]), dtype=bool)
             for j, (column, c) in enumerate(zip(sums, cutoffs)):
-                compare(column, c, out=bits[:, j])
-            grid_t, compare, cutoff = self.back
+                np.greater(column, c, out=bits[:, j])
+            grid_t, cutoff = self.back
             sums = (bits.view(np.uint8) @ grid_t).T
             cutoffs = itertools.repeat(cutoff)
-        _pack(zip(sums, cutoffs), compare, out)
+        _pack(zip(sums, cutoffs), out)
 
     def fill(self, first_rule: Optional[ThresholdRule], out: np.ndarray) -> None:
         """Write the next state of every mask to ``out``; ``first_rule``

@@ -253,12 +253,13 @@ class SuperMatrix:
         if not integral and np.isfinite(total):
             from fractions import Fraction  # 3 ms and 0.4 MB that integer maps skip
 
-            values = sorted(set(e.ravel().tolist()))  # np.unique imports numpy.ma
-            exact = [Fraction(repr(x)) for x in values]
+            flat = np.sort(e, axis=None)  # np.unique imports numpy.ma
+            starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+            values = flat[starts]  # -0.0 and 0.0 are one value
+            exact = [Fraction(repr(x)) for x in values.tolist()]
             scale = math.lcm(*(x.denominator for x in exact))
             ints = [int(x * scale) for x in exact]
-            index = np.searchsorted(values, e)
-            counts = np.bincount(index.ravel(), minlength=len(ints)).tolist()
+            counts = np.diff(starts, append=flat.size).tolist()
             total = sum(c * abs(i) for c, i in zip(counts, ints))
         if not (total < _F64_EXACT and scale < _F64_EXACT):
             raise ModelValidationError(
@@ -269,7 +270,7 @@ class SuperMatrix:
         buf = np.empty(e.size + 16, dtype)  # 64 spare bytes or more
         at = -buf.ctypes.data % 64 // buf.itemsize
         out = buf[at : at + e.size].reshape(e.shape)
-        out[...] = e if scale == 1 else np.array(ints, float)[index]
+        out[...] = e if scale == 1 else np.array(ints, float)[np.searchsorted(values, e)]
         out.flags.writeable = False
         return out, scale
 

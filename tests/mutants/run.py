@@ -70,6 +70,17 @@ MUTANTS = (
         "test_scale_is_the_lcm_of_the_decimal_denominators",
     ),
     Mutant(
+        "distinct-values-counted-once",
+        SUPERMATRIX,
+        "counts = np.diff(starts, append=flat.size).tolist()",
+        "counts = [1] * len(starts)",
+        ("tests/test_supermatrix.py::TestValidation::"
+         "test_each_distinct_value_is_weighed_by_its_count",),
+        "killed",
+        "a repeated entry adds to the total once, and two copies of 2**52 "
+        "pass: test_each_distinct_value_is_weighed_by_its_count",
+    ),
+    Mutant(
         "float32-up-to-2-24",
         SUPERMATRIX,
         "dtype = np.float32 if total < _F32_EXACT else np.float64",
@@ -161,14 +172,67 @@ MUTANTS = (
         "every tabulated state moves up one bit",
     ),
     Mutant(
-        "patterns-range-swap",
+        "two-sided-row-keeps-every-key",
         DYNAMICS,
-        "d, r = r, d[1:] + d[:1]",
-        "d, r = r, d",
-        ("tests/test_dynamics.py::TestEngineCore",),
+        "                if not one_sided:  # it settles: its last state is enough\n"
+        "                    visited.clear()\n",
+        "",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_memory_of_a_two_sided_run_does_not_grow_with_it",),
         "killed",
-        "a range-side cycle pairs each product with the state before it: "
-        "test_two_sided_pairs_of_a_period_2_cycle_follow_step[range]",
+        "the same patterns, but the 798-round chain keeps a key a round: "
+        "test_memory_of_a_two_sided_run_does_not_grow_with_it",
+    ),
+    Mutant(
+        "round-counter-from-1",
+        DYNAMICS,
+        "itertools.islice(schedule, min(max_steps, sys.maxsize))\n    ):",
+        "itertools.islice(schedule, min(max_steps, sys.maxsize)), 1\n    ):",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_peak_memory_of_a_two_sided_chain_sweep",),
+        "killed",
+        "every pattern is entered one round late: "
+        "test_peak_memory_of_a_two_sided_chain_sweep",
+    ),
+    Mutant(
+        "steps-to-enter-from-the-dict-alone",
+        DYNAMICS,
+        "(t // len(moves) - len(keys) + j, keys[j:])",
+        "(j, keys[j:])",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_peak_memory_of_a_long_two_sided_run",),
+        "killed",
+        "a two-sided row's one kept key reads as entered after 0 rounds: "
+        "test_peak_memory_of_a_long_two_sided_run",
+    ),
+    Mutant(
+        "two-sided-row-rule-on-one-sided-rows",
+        DYNAMICS,
+        "                if not one_sided:  # it settles",
+        "                if one_sided:  # it settles",
+        ("tests/test_dynamics.py::TestEngineCore::"
+         "test_peak_memory_of_a_one_sided_sweep",),
+        "killed",
+        "one-sided rows keep only their last state and never close a "
+        "limit cycle: test_peak_memory_of_a_one_sided_sweep",
+    ),
+    Mutant(
+        "engine-compares-ge",
+        DYNAMICS,
+        "bits = raw > cutoff",
+        "bits = raw >= cutoff",
+        ("tests/test_dynamics.py::TestExactProduct",),
+        "killed",
+        "an integer sum equal to the integer cutoff passes it",
+    ),
+    Mutant(
+        "pack-compares-ge",
+        DYNAMICS,
+        "np.greater(column, cutoff, out=hit)",
+        "np.greater_equal(column, cutoff, out=hit)",
+        ("tests/test_dynamics.py::TestEnumeration",),
+        "killed",
+        "the census passes a sum equal to the integer cutoff",
     ),
     Mutant(
         "run-no-seed-forcing",

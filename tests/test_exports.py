@@ -97,15 +97,16 @@ def test_star_import():
         ("supermatrix", "SuperMatrix.simple"),
         ("dynamics", "AttractorCensus.basin_sizes"),
         ("dynamics", "ThresholdPolicy.named_rules"),
+        ("dynamics", "ThresholdRule.compare"),
         ("cli", "build_parser"),
     ],
 )
 def test_removed_names_stay_removed(module, name):
     # partitions, blocks, transposes and flattening are methods of
     # Partition, SuperMatrix and SuperVector; a plain grid is
-    # partition_matrix's, basin sizes are the census's basins column, and
-    # the CLI's one parser is built at import.  "Class.name" is a class
-    # attribute.
+    # partition_matrix's, basin sizes are the census's basins column, the
+    # CLI's one parser is built at import, and a rule's comparison is
+    # apply_threshold's.  "Class.name" is a class attribute.
     owner, _, attr = name.rpartition(".")
     for space in (importlib.import_module(f"fuzzymaps.{module}"), fuzzymaps):
         if owner:

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import random
 import tracemalloc
 
@@ -31,6 +33,7 @@ from fuzzymaps import (
     validate_model,
 )
 from fuzzymaps.errors import (
+    FuzzyMapsError,
     ModelSchemaError,
     ModelSyntaxError,
     ModelValidationError,
@@ -566,6 +569,53 @@ class TestJsonWriter:
     @example({"pad": [], "b": {}, "c": ((),), "d": [math.nan, -math.inf, math.inf]})
     def test_equals_the_stdlib_encoder(self, value):
         assert _json(value) == json.dumps(value, indent=2)
+
+
+def _field_paths(node, path=()):
+    """The path of every member and item under ``node``, ``node`` itself
+    included, as keys and indices from the top."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _field_paths(value, path + (key,))
+
+
+# every field of each bundled document, at any depth, the top excluded
+_FIXTURE_FIELDS = {
+    name: list(_field_paths(json.loads(fixture_text(name))))[1:]
+    for name in FIXTURE_NAMES
+}
+
+
+class TestParseFuzz:
+    """Whatever text ``parse_model`` is given, it returns a model or raises a
+    :class:`FuzzyMapsError`; nothing else escapes."""
+
+    @staticmethod
+    def _parse(text):
+        try:
+            parse_model(text)
+        except FuzzyMapsError:
+            pass
+
+    @settings(max_examples=500, deadline=None)
+    @given(_JSON_TREES)
+    def test_any_json_document(self, tree):
+        self._parse(json.dumps(tree))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text() | st.text(st.sampled_from('{}[]":,.-+0123456789eEtruefalsn \\')))
+    def test_any_text(self, text):
+        self._parse(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(FIXTURE_NAMES), st.data())
+    def test_a_fixture_with_one_field_replaced(self, name, data):
+        doc = json.loads(fixture_text(name))
+        *head, last = data.draw(st.sampled_from(_FIXTURE_FIELDS[name]))
+        functools.reduce(operator.getitem, head, doc)[last] = data.draw(_JSON_TREES)
+        self._parse(json.dumps(doc))
 
 
 class TestParseMemory:

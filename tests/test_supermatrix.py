@@ -431,6 +431,23 @@ class TestValidation:
         assert scale == 100 and grid.dtype == np.float64
         assert grid[0, 0] == 3685379595669277 and grid[1, 1] == 100
 
+    def test_each_distinct_value_is_weighed_by_its_count(self):
+        # -0.0 and 0.0 are one value; the tenths and the 2**52 / 10 entry
+        # repeat, and each copy adds to the total
+        big = 450359962737049.6
+        entries = [[-0.0, 0.1, 0.0, 0.1], [0.1, -0.3, 0.0, -0.0], [-0.3, 0.1, 0.7, -0.0]]
+        grid, scale = partition_matrix(entries)._exact
+        assert (scale, grid.dtype) == (10, np.float32)
+        assert grid.tolist() == [[0, 1, 0, 1], [1, -3, 0, 0], [-3, 1, 7, 0]]
+        entries[0][0] = big  # a total of 2**52 + 17
+        grid, scale = partition_matrix(entries)._exact
+        assert (scale, grid.dtype, grid[0, 0]) == (10, np.float64, 2**52)
+        assert grid[1:].tolist() == [[1, -3, 0, 0], [-3, 1, 7, 0]]
+        entries[2][3] = big
+        with pytest.raises(ModelValidationError, match="below 2\\^53") as err:
+            partition_matrix(entries)._exact
+        assert "scale 10 sum to 9007199254741009 " in str(err.value)  # 2**53 + 17
+
     @pytest.mark.parametrize(
         "entries, dtype",
         [
